@@ -16,13 +16,13 @@
 # coalescing mhpcd and validates the resulting mhpc-load-report/v1,
 # and the resume smoke run that SIGKILLs a checkpointing mhpc sweep
 # mid-flight and requires the rerun to restore the committed progress
-# with byte-identical output across -j and -intra.
+# with byte-identical output across -j.
 GO ?= go
 TMP ?= /tmp/mhpc-smoke
 
-.PHONY: check vet build test race bench bench-smoke bench-snapshot bench-diff telemetry-smoke faults-smoke pdes-smoke serve-smoke stream-smoke store-smoke load-smoke resume-smoke
+.PHONY: check vet build test race bench bench-smoke bench-snapshot bench-diff telemetry-smoke faults-smoke serve-smoke stream-smoke store-smoke load-smoke resume-smoke
 
-check: vet build test race telemetry-smoke faults-smoke pdes-smoke bench-smoke bench-diff serve-smoke stream-smoke store-smoke load-smoke resume-smoke
+check: vet build test race telemetry-smoke faults-smoke bench-smoke bench-diff serve-smoke stream-smoke store-smoke load-smoke resume-smoke
 
 vet:
 	$(GO) vet ./...
@@ -50,17 +50,15 @@ bench-smoke:
 # BENCH_v9.json (schema mhpc-bench-snapshot/v1; format documented in
 # DESIGN.md, Engine performance). The engine/interconnect micro-benches
 # and the obs scrape path get real benchtime; the multi-second macro
-# benches — including the task-latency quantile bench, the serving
-# tier's cache-cold zipf mix, and the 192-node PDES scaling sweep whose
-# events/s metric records partitioned-engine throughput at P=1/2/4/8 —
-# run a fixed few iterations.
+# benches — including the task-latency quantile bench and the serving
+# tier's cache-cold zipf mix — run a fixed few iterations.
 bench-snapshot:
 	rm -rf $(TMP)-bench && mkdir -p $(TMP)-bench
 	$(GO) test -run '^$$' -bench 'EngineThroughput|TransferChunked|EventDispatch|ProcSwitch' \
 		-benchmem ./internal/sim ./internal/interconnect > $(TMP)-bench/out.txt
 	$(GO) test -run '^$$' -bench 'ScrapeRange|HistogramObserve' -benchmem ./internal/obs \
 		>> $(TMP)-bench/out.txt
-	$(GO) test -run '^$$' -bench 'RunAllJobs|Green500HPL|PoolTaskLatency|PDESScaling' -benchtime 1x -benchmem . \
+	$(GO) test -run '^$$' -bench 'RunAllJobs|Green500HPL|PoolTaskLatency' -benchtime 1x -benchmem . \
 		>> $(TMP)-bench/out.txt
 	$(GO) test -run '^$$' -bench 'ServeZipfCold' -benchtime 3x -benchmem ./cmd/mhpcd \
 		>> $(TMP)-bench/out.txt
@@ -101,17 +99,6 @@ faults-smoke:
 	$(GO) run ./cmd/jsoncheck -counters faults.injected,faults.node_fail,faults.node_hang,faults.link_degrade,faults.checkpoints,faults.restarts \
 		$(TMP)-faults/manifest.json
 
-# Intra-run PDES gate: the quick registry rendered by the partitioned
-# engine (-intra 2) must be byte-identical to the sequential engine's
-# (-intra 1) — the conservative-window determinism proof, end to end
-# through the real binary and its flag plumbing.
-pdes-smoke:
-	rm -rf $(TMP)-pdes && mkdir -p $(TMP)-pdes
-	$(GO) build -o $(TMP)-pdes/mhpc ./cmd/mhpc
-	$(TMP)-pdes/mhpc all -quick -intra 2 > $(TMP)-pdes/out-intra2.txt
-	$(TMP)-pdes/mhpc all -quick -intra 1 > $(TMP)-pdes/out-intra1.txt
-	cmp $(TMP)-pdes/out-intra2.txt $(TMP)-pdes/out-intra1.txt
-
 # End-to-end serving gate: build and exec the real mhpcd binary, then
 # drive it over HTTP — an uncached run, a byte-identical cached replay,
 # a 429 under admission overflow, and a SIGTERM mid-flight that must
@@ -150,7 +137,7 @@ load-smoke:
 
 # Resumable-run gate: run a full-size fig6+green500 sweep with
 # -ckpt-dir, SIGKILL it once the ledger holds committed sub-runs, and
-# rerun the identical invocation at -j 1/4 x -intra 1/2 — stdout must
+# rerun the identical invocation at -j 1 and -j 4 — stdout must
 # match the uninterrupted run byte for byte, the manifest must show
 # ckpt.hits > 0 and pool.tasks strictly below the golden total: the
 # committed-progress-is-never-recomputed proof against the real binary.

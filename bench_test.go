@@ -10,9 +10,7 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"mobilehpc/internal/apps/hpl"
 	"mobilehpc/internal/cluster"
@@ -153,43 +151,6 @@ func BenchmarkRunAllJobs(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// dispatchCounter tallies fired events across every engine of a run —
-// the numerator of the PDES events/s metric.
-type dispatchCounter struct{ n atomic.Int64 }
-
-func (c *dispatchCounter) EventScheduled(int) {}
-func (c *dispatchCounter) EventCanceled()     {}
-func (c *dispatchCounter) EventDispatched()   { c.n.Add(1) }
-
-// BenchmarkPDESScaling runs HPL on the complete 192-node Tibidabo
-// machine (the full-scale Figure 6 endpoint, N = 8192*sqrt(192)) with
-// the simulated cluster split into P conservative-PDES partitions, and
-// reports aggregate dispatch throughput as events/s. P1 is the exact
-// legacy sequential engine; P2/4/8 exercise the window loop, promise
-// exchange, and cross-partition delivery pump. On a multi-core host
-// the events/s ratio over P1 is the intra-run speedup; on a single
-// -core host it measures pure PDES overhead (see DESIGN.md, Intra-run
-// parallelism). Output equivalence is pinned separately by the golden
-// wall; GFLOPS is reported to show the modelled physics is identical.
-func BenchmarkPDESScaling(b *testing.B) {
-	n := int(8192 * math.Sqrt(192))
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
-			ctr := &dispatchCounter{}
-			sim.SetDefaultObserver(ctr)
-			defer sim.SetDefaultObserver(nil)
-			var r hpl.Result
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				r = hpl.Run(cluster.TibidaboIntra(192, p), 192, hpl.Config{N: n, RealN: 64})
-			}
-			elapsed := time.Since(start).Seconds()
-			b.ReportMetric(float64(ctr.n.Load())/elapsed, "events/s")
-			b.ReportMetric(r.GFLOPS, "GFLOPS")
 		})
 	}
 }

@@ -130,8 +130,8 @@ func main() {
 		}
 	}
 	// Benchmarks present only in the new snapshot are informational:
-	// the suite legitimately grows (e.g. BenchmarkPDESScaling arriving
-	// in v8), and a first appearance has no baseline to regress from.
+	// the suite legitimately grows (e.g. BenchmarkServeZipfCold arriving
+	// in v7), and a first appearance has no baseline to regress from.
 	// They gate from the *next* snapshot pair onward, once committed.
 	var added []string
 	for n := range cur {

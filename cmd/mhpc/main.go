@@ -5,8 +5,8 @@
 // Usage:
 //
 //	mhpc list                  list experiment ids and titles
-//	mhpc run [-quick] [-csv] [-j N] [-intra P] <id>...   run selected experiments
-//	mhpc all [-quick] [-j N] [-intra P]   regenerate every table and figure
+//	mhpc run [-quick] [-csv] [-j N] <id>...   run selected experiments
+//	mhpc all [-quick] [-j N]   regenerate every table and figure
 //	mhpc hpl [-nodes N] [-faults] [-fault-seed S] [-hours H]
 //	                           run weak-scaled HPL on Tibidabo; -faults adds a
 //	                           checkpointed production run with §6.1/§6.3 fault
@@ -26,7 +26,7 @@
 // ledger in DIR, and re-running the identical invocation after an
 // interrupt (SIGINT or even SIGKILL) restores the committed tasks and
 // executes only the unfinished ones — final output byte-identical to
-// an uninterrupted run, at any -j/-intra. The ledger is deleted once
+// an uninterrupted run, at any -j. The ledger is deleted once
 // a run completes.
 //
 // run and all also take the telemetry flags: -trace-out FILE writes a
@@ -69,7 +69,7 @@ import (
 )
 
 // defaultJobsSpec is the textual -j default: the MHPC_PARALLEL
-// environment variable when set (validated by parseJobs when the
+// environment variable when set (validated by core.ParseJobs when the
 // command runs, so garbage in the environment is an error, not a
 // silent fallback), else "1" — the serial legacy path.
 func defaultJobsSpec() string {
@@ -79,32 +79,11 @@ func defaultJobsSpec() string {
 	return "1"
 }
 
-// parseJobs validates a -j / MHPC_PARALLEL value via the shared
-// strict parser (internal/core): a positive integer, or "auto" for
-// one worker per CPU. Zero, negative, and non-numeric values are
-// rejected with a descriptive error.
-func parseJobs(s string) (int, error) { return core.ParseJobs(s) }
-
-// defaultIntraSpec is the textual -intra default: the MHPC_INTRA
-// environment variable when set (validated when the command runs),
-// else "1" — the sequential engine.
-func defaultIntraSpec() string {
-	if s, ok := os.LookupEnv("MHPC_INTRA"); ok {
-		return s
-	}
-	return "1"
-}
-
-// parseIntra validates an -intra / MHPC_INTRA value via the shared
-// strict parser: a positive integer, or "auto" for one partition per
-// CPU. Same rejection rules as -j.
-func parseIntra(s string) (int, error) { return core.ParseIntra(s) }
-
 // ckptKey is the ledger identity of one CLI invocation: a truncated
 // SHA-256 over the command, the experiment ids, and the
-// output-shaping options. -j and -intra are deliberately absent —
-// output is byte-identical at every parallelism, so a resume is free
-// to change them.
+// output-shaping options. -j is deliberately absent — output is
+// byte-identical at every parallelism, so a resume is free to change
+// it.
 func ckptKey(command string, ids []string, quick, csv bool) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\x00%t\x00%t", command, quick, csv)
@@ -190,8 +169,8 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   mhpc list                        list experiments
-  mhpc run [-quick] [-csv] [-j N] [-intra P] <id>... run selected experiments
-  mhpc all [-quick] [-j N] [-intra P] regenerate every table and figure
+  mhpc run [-quick] [-csv] [-j N] <id>... run selected experiments
+  mhpc all [-quick] [-j N]         regenerate every table and figure
   mhpc hpl [-nodes N] [-faults] [-fault-seed S] [-hours H]
                                    weak-scaled HPL + Green500 metric; -faults
                                    adds a fault-injected checkpointed run
@@ -202,11 +181,6 @@ func usage() {
 -j N runs experiments on a pool of N workers (a positive integer, or
 'auto' for one per CPU; default from MHPC_PARALLEL or 1); output is
 byte-identical at every -j.
-
--intra P splits each simulated cluster into P conservative-PDES
-partitions running in parallel inside one simulation (a positive
-integer, or 'auto' for one per CPU; default from MHPC_INTRA or 1);
-output is byte-identical at every -intra.
 
 -ckpt-dir DIR commits every finished sub-run/experiment to a
 checkpoint ledger in DIR; re-running the identical invocation after an
@@ -376,7 +350,6 @@ func run(args []string) error {
 	quick := fs.Bool("quick", false, "reduced node counts / steps")
 	csv := fs.Bool("csv", false, "emit CSV instead of a text table")
 	jobs := fs.String("j", defaultJobsSpec(), "worker pool size (a positive integer, or 'auto' = one per CPU)")
-	intra := fs.String("intra", defaultIntraSpec(), "PDES partitions per simulation (a positive integer, or 'auto' = one per CPU)")
 	ckptDir := fs.String("ckpt-dir", "", "checkpoint directory: commit finished sub-runs and resume an interrupted identical invocation")
 	tf := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -385,11 +358,7 @@ func run(args []string) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("run: need at least one experiment id (try 'mhpc list')")
 	}
-	j, err := parseJobs(*jobs)
-	if err != nil {
-		return fmt.Errorf("run: %w", err)
-	}
-	it, err := parseIntra(*intra)
+	j, err := core.ParseJobs(*jobs)
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
 	}
@@ -402,7 +371,7 @@ func run(args []string) error {
 	ctx, cancel := commandContext()
 	defer cancel()
 	tel := startTelemetry(tf, "run", j, *quick)
-	tabs, err := harness.TablesContext(ctx, fs.Args(), harness.Options{Quick: *quick, Jobs: j, Intra: it})
+	tabs, err := harness.TablesContext(ctx, fs.Args(), harness.Options{Quick: *quick, Jobs: j})
 	if ferr := tel.finish(); err == nil {
 		err = ferr
 	}
@@ -431,17 +400,12 @@ func all(args []string) error {
 	fs := flag.NewFlagSet("all", flag.ExitOnError)
 	quick := fs.Bool("quick", false, "reduced node counts / steps")
 	jobs := fs.String("j", defaultJobsSpec(), "worker pool size (a positive integer, or 'auto' = one per CPU)")
-	intra := fs.String("intra", defaultIntraSpec(), "PDES partitions per simulation (a positive integer, or 'auto' = one per CPU)")
 	ckptDir := fs.String("ckpt-dir", "", "checkpoint directory: commit finished sub-runs and resume an interrupted identical invocation")
 	tf := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	j, err := parseJobs(*jobs)
-	if err != nil {
-		return fmt.Errorf("all: %w", err)
-	}
-	it, err := parseIntra(*intra)
+	j, err := core.ParseJobs(*jobs)
 	if err != nil {
 		return fmt.Errorf("all: %w", err)
 	}
@@ -454,7 +418,7 @@ func all(args []string) error {
 	ctx, cancel := commandContext()
 	defer cancel()
 	tel := startTelemetry(tf, "all", j, *quick)
-	err = core.RunAllExperimentsOpts(ctx, os.Stdout, harness.Options{Quick: *quick, Jobs: j, Intra: it})
+	err = harness.RunAllContext(ctx, os.Stdout, harness.Options{Quick: *quick, Jobs: j})
 	if ferr := tel.finish(); err == nil {
 		err = ferr
 	}

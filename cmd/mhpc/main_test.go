@@ -5,50 +5,51 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
+
+	"mobilehpc/internal/core"
 )
 
-// parseJobs must accept positive integers and "auto", and reject —
-// with an error, never a silent fallback — zero, negative, and
-// garbage values, whether they come from -j or MHPC_PARALLEL.
+// The -j flag of run and all must accept positive integers and
+// "auto", and reject — with an error, never a silent fallback — zero,
+// negative, and garbage values. An accepted value gets past flag
+// validation to the experiment lookup, so an unknown id proves the
+// value was taken without running anything.
 func TestParseJobs(t *testing.T) {
-	auto := runtime.GOMAXPROCS(0)
 	cases := []struct {
 		in      string
-		want    int
 		wantErr bool
 	}{
-		{"1", 1, false},
-		{"4", 4, false},
-		{"96", 96, false},
-		{"auto", auto, false},
-		{"0", 0, true},
-		{"-1", 0, true},
-		{"-8", 0, true},
-		{"", 0, true},
-		{"abc", 0, true},
-		{"1.5", 0, true},
-		{"4 ", 0, true},
-		{" 4", 0, true},
-		{"0x4", 0, true},
-		{"AUTO", 0, true}, // case-sensitive, like every other flag value
+		{"1", false},
+		{"4", false},
+		{"96", false},
+		{"auto", false},
+		{"0", true},
+		{"-1", true},
+		{"-8", true},
+		{"", true},
+		{"abc", true},
+		{"1.5", true},
+		{"4 ", true},
+		{" 4", true},
+		{"0x4", true},
+		{"AUTO", true}, // case-sensitive, like every other flag value
 	}
 	for _, c := range cases {
-		got, err := parseJobs(c.in)
+		err := run([]string{"-j", c.in, "no-such-experiment"})
+		if err == nil {
+			t.Fatalf("run -j %q with an unknown experiment returned nil", c.in)
+		}
+		rejected := strings.Contains(err.Error(), "invalid worker count")
+		if rejected != c.wantErr {
+			t.Errorf("run -j %q: err = %v, want rejected=%v", c.in, err, c.wantErr)
+		}
 		if c.wantErr {
-			if err == nil {
-				t.Errorf("parseJobs(%q) = %d, want error", c.in, got)
+			if err := all([]string{"-j", c.in}); err == nil ||
+				!strings.Contains(err.Error(), "invalid worker count") {
+				t.Errorf("all -j %q: err = %v, want an invalid worker count error", c.in, err)
 			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("parseJobs(%q) unexpected error: %v", c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("parseJobs(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
 }
@@ -65,8 +66,8 @@ func TestDefaultJobsSpec(t *testing.T) {
 	if got := defaultJobsSpec(); got != "garbage" {
 		t.Errorf("defaultJobsSpec must pass the raw value through, got %q", got)
 	}
-	if _, err := parseJobs(defaultJobsSpec()); err == nil {
-		t.Error("garbage MHPC_PARALLEL must fail parseJobs")
+	if _, err := core.ParseJobs(defaultJobsSpec()); err == nil {
+		t.Error("garbage MHPC_PARALLEL must fail core.ParseJobs")
 	}
 }
 

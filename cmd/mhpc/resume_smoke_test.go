@@ -6,7 +6,7 @@ package main
 // identical invocation, and require (a) stdout byte-identical to an
 // uninterrupted run, (b) ckpt.hits > 0 (committed progress restored),
 // and (c) pool.tasks strictly below the uninterrupted run's (committed
-// progress never recomputed) — across -j 1/4 x -intra 1/2. Gated
+// progress never recomputed) — at -j 1 and -j 4. Gated
 // behind MHPC_RESUME_SMOKE=1; the Makefile resume-smoke target (wired
 // into `make check`) sets the gate.
 
@@ -89,81 +89,79 @@ func TestResumeSmoke(t *testing.T) {
 	}
 
 	for _, j := range []string{"1", "4"} {
-		for _, intra := range []string{"1", "2"} {
-			t.Run(fmt.Sprintf("j%s_intra%s", j, intra), func(t *testing.T) {
-				// A SIGKILLed attempt may race the run's natural end; retry
-				// with a fresh ledger until the kill lands mid-sweep.
-				for attempt := 1; ; attempt++ {
-					ckptDir := filepath.Join(t.TempDir(), fmt.Sprintf("ck%d", attempt))
-					args := append([]string{"run", "-j", j, "-intra", intra, "-ckpt-dir", ckptDir}, ids...)
+		t.Run("j"+j, func(t *testing.T) {
+			// A SIGKILLed attempt may race the run's natural end; retry
+			// with a fresh ledger until the kill lands mid-sweep.
+			for attempt := 1; ; attempt++ {
+				ckptDir := filepath.Join(t.TempDir(), fmt.Sprintf("ck%d", attempt))
+				args := append([]string{"run", "-j", j, "-ckpt-dir", ckptDir}, ids...)
 
-					victim := exec.Command(bin, args...)
-					if err := victim.Start(); err != nil {
-						t.Fatal(err)
-					}
-					exited := make(chan error, 1)
-					go func() { exited <- victim.Wait() }()
-					deadline := time.Now().Add(30 * time.Second)
-					killed := false
-					for !killed {
-						select {
-						case <-exited:
-							// Finished before we could kill it — retry the cell.
-						case <-time.After(2 * time.Millisecond):
-							if completeLines(ckptDir) >= 2 {
-								victim.Process.Signal(syscall.SIGKILL)
-								<-exited
-								killed = true
-								continue
-							}
-							if time.Now().Before(deadline) {
-								continue
-							}
-							t.Fatal("run never committed 2 ledger entries")
-						}
-						break
-					}
-					if !killed {
-						if attempt >= 10 {
-							t.Fatal("could not interrupt the run in 10 attempts")
-						}
-						continue
-					}
-					if got := completeLines(ckptDir); got < 2 {
-						t.Fatalf("ledger holds %d complete lines after SIGKILL, want >= 2", got)
-					}
-
-					// Resume: identical invocation, plus a manifest.
-					manifest := filepath.Join(t.TempDir(), fmt.Sprintf("resume%d.json", attempt))
-					resume := exec.Command(bin, append([]string{"run", "-j", j, "-intra", intra,
-						"-ckpt-dir", ckptDir, "-report", manifest}, ids...)...)
-					var stdout, stderr bytes.Buffer
-					resume.Stdout, resume.Stderr = &stdout, &stderr
-					if err := resume.Run(); err != nil {
-						t.Fatalf("resume run: %v\n%s", err, stderr.String())
-					}
-					if !bytes.Equal(stdout.Bytes(), golden) {
-						t.Fatalf("resumed stdout diverged from the uninterrupted run (%d vs %d bytes)",
-							stdout.Len(), len(golden))
-					}
-					m := readManifest(t, manifest)
-					if hits := m.Counters["ckpt.hits"]; hits < 1 {
-						t.Errorf("ckpt.hits = %d, want >= 1 (nothing was restored)", hits)
-					}
-					if tasks := m.Counters["pool.tasks"]; tasks >= goldenTasks {
-						t.Errorf("resumed pool.tasks = %d, want < golden %d (committed progress recomputed)",
-							tasks, goldenTasks)
-					}
-					if !strings.Contains(stderr.String(), "mhpc: ckpt: resuming from") {
-						t.Errorf("resume run did not announce the recovery:\n%s", stderr.String())
-					}
-					// Success discards the ledger.
-					if got := completeLines(ckptDir); got != 0 {
-						t.Errorf("ledger survived a successful resume (%d lines)", got)
-					}
-					return
+				victim := exec.Command(bin, args...)
+				if err := victim.Start(); err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				exited := make(chan error, 1)
+				go func() { exited <- victim.Wait() }()
+				deadline := time.Now().Add(30 * time.Second)
+				killed := false
+				for !killed {
+					select {
+					case <-exited:
+						// Finished before we could kill it — retry the cell.
+					case <-time.After(2 * time.Millisecond):
+						if completeLines(ckptDir) >= 2 {
+							victim.Process.Signal(syscall.SIGKILL)
+							<-exited
+							killed = true
+							continue
+						}
+						if time.Now().Before(deadline) {
+							continue
+						}
+						t.Fatal("run never committed 2 ledger entries")
+					}
+					break
+				}
+				if !killed {
+					if attempt >= 10 {
+						t.Fatal("could not interrupt the run in 10 attempts")
+					}
+					continue
+				}
+				if got := completeLines(ckptDir); got < 2 {
+					t.Fatalf("ledger holds %d complete lines after SIGKILL, want >= 2", got)
+				}
+
+				// Resume: identical invocation, plus a manifest.
+				manifest := filepath.Join(t.TempDir(), fmt.Sprintf("resume%d.json", attempt))
+				resume := exec.Command(bin, append([]string{"run", "-j", j,
+					"-ckpt-dir", ckptDir, "-report", manifest}, ids...)...)
+				var stdout, stderr bytes.Buffer
+				resume.Stdout, resume.Stderr = &stdout, &stderr
+				if err := resume.Run(); err != nil {
+					t.Fatalf("resume run: %v\n%s", err, stderr.String())
+				}
+				if !bytes.Equal(stdout.Bytes(), golden) {
+					t.Fatalf("resumed stdout diverged from the uninterrupted run (%d vs %d bytes)",
+						stdout.Len(), len(golden))
+				}
+				m := readManifest(t, manifest)
+				if hits := m.Counters["ckpt.hits"]; hits < 1 {
+					t.Errorf("ckpt.hits = %d, want >= 1 (nothing was restored)", hits)
+				}
+				if tasks := m.Counters["pool.tasks"]; tasks >= goldenTasks {
+					t.Errorf("resumed pool.tasks = %d, want < golden %d (committed progress recomputed)",
+						tasks, goldenTasks)
+				}
+				if !strings.Contains(stderr.String(), "mhpc: ckpt: resuming from") {
+					t.Errorf("resume run did not announce the recovery:\n%s", stderr.String())
+				}
+				// Success discards the ledger.
+				if got := completeLines(ckptDir); got != 0 {
+					t.Errorf("ledger survived a successful resume (%d lines)", got)
+				}
+				return
+			}
+		})
 	}
 }

@@ -193,7 +193,7 @@ func (sw *sweep) run() {
 // unbatched runExperimentBytes renders, fanned out per key. Keys
 // sharing an id (seed is a replica salt) share one execution and one
 // rendering.
-func runSweepBytes(ctx context.Context, fam famKey, ps []runParams, jobs, intra int) (map[string][]byte, error) {
+func runSweepBytes(ctx context.Context, fam famKey, ps []runParams, jobs int) (map[string][]byte, error) {
 	var ids []string
 	seen := map[string]bool{}
 	for _, p := range ps {
@@ -202,7 +202,7 @@ func runSweepBytes(ctx context.Context, fam famKey, ps []runParams, jobs, intra 
 			ids = append(ids, p.ID)
 		}
 	}
-	tabs, err := harness.TablesContext(ctx, ids, harness.Options{Quick: fam.quick, Jobs: jobs, Intra: intra})
+	tabs, err := harness.TablesContext(ctx, ids, harness.Options{Quick: fam.quick, Jobs: jobs})
 	if err != nil {
 		return nil, err
 	}

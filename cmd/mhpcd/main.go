@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	mhpcd [-addr :8080] [-j N] [-intra P] [-concurrency N] [-queue N]
+//	mhpcd [-addr :8080] [-j N] [-concurrency N] [-queue N]
 //	      [-timeout D] [-store-dir DIR] [-store-bytes N]
 //	      [-batch-window D] [-batch-max N] [-job-history N] [-drain D]
 //
@@ -71,16 +71,6 @@ import (
 	"mobilehpc/internal/sim"
 )
 
-// defaultIntraSpec is the textual -intra default: the MHPC_INTRA
-// environment variable when set (validated when the server starts),
-// else "1" — the sequential engine.
-func defaultIntraSpec() string {
-	if s, ok := os.LookupEnv("MHPC_INTRA"); ok {
-		return s
-	}
-	return "1"
-}
-
 func main() {
 	if err := serve(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "mhpcd:", err)
@@ -95,7 +85,6 @@ func serve(args []string) error {
 	fs := flag.NewFlagSet("mhpcd", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	jobs := fs.String("j", "auto", "worker pool size per run (a positive integer, or 'auto' = one per CPU)")
-	intra := fs.String("intra", defaultIntraSpec(), "PDES partitions per simulation (a positive integer, or 'auto' = one per CPU)")
 	concurrency := fs.Int("concurrency", 2, "experiment runs executing at once")
 	queue := fs.Int("queue", 8, "additional runs allowed to wait for a slot (0 = reject when busy)")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-run wall clock bound")
@@ -109,10 +98,6 @@ func serve(args []string) error {
 		return err
 	}
 	j, err := core.ParseJobs(*jobs)
-	if err != nil {
-		return err
-	}
-	it, err := core.ParseIntra(*intra)
 	if err != nil {
 		return err
 	}
@@ -133,7 +118,6 @@ func serve(args []string) error {
 
 	s, err := newServer(serverConfig{
 		jobs:        j,
-		intra:       it,
 		concurrency: *concurrency,
 		queue:       *queue,
 		timeout:     *timeout,

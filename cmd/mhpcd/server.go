@@ -86,7 +86,6 @@ type call struct {
 // flags, tests fill it directly.
 type serverConfig struct {
 	jobs        int           // worker pool size passed to each run
-	intra       int           // PDES partitions per simulation (0/1 = sequential)
 	concurrency int           // runs/sweeps executing at once
 	queue       int           // additional runs allowed to wait
 	timeout     time.Duration // per-run wall clock bound
@@ -159,14 +158,11 @@ func newServer(cfg serverConfig) (*server, error) {
 	s.baseCtx, s.abortRuns = context.WithCancel(context.Background())
 	if s.cfg.runFn == nil {
 		s.cfg.runFn = func(ctx context.Context, p runParams) ([]byte, error) {
-			return runExperimentBytes(ctx, p, cfg.jobs, cfg.intra)
+			return runExperimentBytes(ctx, p, cfg.jobs)
 		}
 	}
 	if s.cfg.sweepFn == nil {
-		intra := cfg.intra
-		s.cfg.sweepFn = func(ctx context.Context, fam famKey, ps []runParams, jobs int) (map[string][]byte, error) {
-			return runSweepBytes(ctx, fam, ps, jobs, intra)
-		}
+		s.cfg.sweepFn = runSweepBytes
 	}
 	if cfg.batchWindow > 0 {
 		s.batcher = newBatcher(s, cfg.batchWindow, cfg.batchMax)
@@ -222,8 +218,8 @@ func (s *server) execute(ctx context.Context, p runParams) ([]byte, error) {
 // runExperimentBytes executes one registry experiment under ctx and
 // renders it (table or CSV) to bytes. This is the only place mhpcd
 // touches the simulation substrate.
-func runExperimentBytes(ctx context.Context, p runParams, jobs, intra int) ([]byte, error) {
-	tabs, err := harness.TablesContext(ctx, []string{p.ID}, harness.Options{Quick: p.Quick, Jobs: jobs, Intra: intra})
+func runExperimentBytes(ctx context.Context, p runParams, jobs int) ([]byte, error) {
+	tabs, err := harness.TablesContext(ctx, []string{p.ID}, harness.Options{Quick: p.Quick, Jobs: jobs})
 	if err != nil {
 		return nil, err
 	}

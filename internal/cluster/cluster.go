@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"mobilehpc/internal/interconnect"
 	"mobilehpc/internal/perf"
@@ -44,17 +43,10 @@ func (n *Node) Endpoint(proto interconnect.Protocol) interconnect.Endpoint {
 // Cluster is a homogeneous machine: nodes, a network, and the
 // message-passing protocol deployed on it.
 type Cluster struct {
-	Eng *sim.Engine
-	// Group is the conservative-PDES partition group when the cluster
-	// was built with Config.Intra > 1: nodes are split into contiguous
-	// blocks, each simulated by its own engine, and mpi.Run drives the
-	// group's window loop instead of a single dispatch loop. Nil for a
-	// sequential cluster, where Eng is the only engine.
-	Group   *sim.Group
-	nodeEng []*sim.Engine // per-node engine; nil when unpartitioned
-	Nodes   []*Node
-	Net     *interconnect.Network
-	Proto   interconnect.Protocol
+	Eng   *sim.Engine
+	Nodes []*Node
+	Net   *interconnect.Network
+	Proto interconnect.Protocol
 	// PerNodeOverheadW is non-compute power per node (PSU losses, board
 	// components not modelled by the platform, fans): the paper blames
 	// developer-kit overheads for much of Tibidabo's energy-efficiency
@@ -80,11 +72,6 @@ type Config struct {
 	SwitchLatUS float64
 	NodeOverW   float64
 	SwitchW     float64
-	// Intra is the number of conservative-PDES partitions to split the
-	// simulation into (0 or 1 = sequential). Partitioning is an engine
-	// implementation detail: the simulated machine and its results are
-	// identical, only wall-clock time changes. Capped at Nodes.
-	Intra int
 }
 
 // New builds a cluster from the config on a fresh simulation engine.
@@ -92,32 +79,7 @@ func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 {
 		panic("cluster: need at least one node")
 	}
-	intra := cfg.Intra
-	if intra > cfg.Nodes {
-		intra = cfg.Nodes
-	}
-	var eng *sim.Engine
-	var grp *sim.Group
-	var nodeEng []*sim.Engine
-	if intra > 1 {
-		grp = sim.NewGroup(intra)
-		// Contiguous block placement: node i lives on partition
-		// i*intra/nodes, so ranks that are topology neighbours (same
-		// leaf switch at the defaults) mostly share a partition.
-		nodeEng = make([]*sim.Engine, cfg.Nodes)
-		for i := range nodeEng {
-			nodeEng[i] = grp.Engine(i * intra / cfg.Nodes)
-		}
-		eng = grp.Engine(0)
-	} else {
-		eng = sim.NewEngine()
-	}
-	engOf := func(node int) *sim.Engine {
-		if nodeEng == nil {
-			return eng
-		}
-		return nodeEng[node]
-	}
+	eng := sim.NewEngine()
 	proto := cfg.Proto
 	nodes := make([]*Node, cfg.Nodes)
 	for i := range nodes {
@@ -134,58 +96,23 @@ func New(cfg Config) *Cluster {
 	var net *interconnect.Network
 	switches := 1
 	if cfg.UplinkGbps > 0 {
-		net = interconnect.TreePart(engOf, cfg.Nodes, cfg.SwitchRadix, cfg.LinkGbps,
+		net = interconnect.Tree(eng, cfg.Nodes, cfg.SwitchRadix, cfg.LinkGbps,
 			cfg.UplinkGbps, cfg.SwitchLatUS)
 		switches = (cfg.Nodes+cfg.SwitchRadix-1)/cfg.SwitchRadix + 1
 	} else {
-		net = interconnect.SingleSwitchPart(engOf, cfg.Nodes, cfg.LinkGbps, cfg.SwitchLatUS)
-	}
-	if grp != nil {
-		// Conservative lookahead: no event can start a flow whose first
-		// cross-partition arrival is closer than the cheapest zero-byte
-		// send on the slowest node (in-flight flows carry promises).
-		floor := math.Inf(1)
-		for _, nd := range nodes {
-			if f := nd.Endpoint(proto).InjectionFloor(); f < floor {
-				floor = f
-			}
-		}
-		grp.SetLookahead(floor)
+		net = interconnect.SingleSwitch(eng, cfg.Nodes, cfg.LinkGbps, cfg.SwitchLatUS)
 	}
 	return &Cluster{
-		Eng: eng, Group: grp, nodeEng: nodeEng, Nodes: nodes, Net: net, Proto: proto,
+		Eng: eng, Nodes: nodes, Net: net, Proto: proto,
 		PerNodeOverheadW: cfg.NodeOverW, SwitchW: cfg.SwitchW, Switches: switches,
 	}
-}
-
-// EngOf returns the engine simulating node id — Eng on a sequential
-// cluster, the node's partition engine on a partitioned one. Processes
-// modelling work on a node must be spawned on its engine.
-func (c *Cluster) EngOf(node int) *sim.Engine {
-	if c.nodeEng == nil {
-		return c.Eng
-	}
-	return c.nodeEng[node]
-}
-
-// IntraParts returns the number of PDES partitions (1 when sequential).
-func (c *Cluster) IntraParts() int {
-	if c.Group == nil {
-		return 1
-	}
-	return c.Group.Size()
 }
 
 // Tibidabo builds an n-node slice of the Tibidabo prototype: Tegra 2
 // nodes at 1 GHz, 1 GbE NICs over PCIe, hierarchical 48-port GbE
 // switching with 4 Gb/s trunks (8 Gb/s bisection at 192 nodes), and
 // MPI over TCP/IP as deployed on the real machine.
-func Tibidabo(n int) *Cluster { return TibidaboIntra(n, 1) }
-
-// TibidaboIntra builds Tibidabo split into intra conservative-PDES
-// partitions (1 = the sequential engine). The simulated machine is
-// identical at any partition count; only wall-clock time changes.
-func TibidaboIntra(n, intra int) *Cluster {
+func Tibidabo(n int) *Cluster {
 	return New(Config{
 		Nodes:       n,
 		Platform:    soc.Tegra2,
@@ -197,7 +124,6 @@ func TibidaboIntra(n, intra int) *Cluster {
 		SwitchLatUS: 2.0,
 		NodeOverW:   3.5,
 		SwitchW:     25,
-		Intra:       intra,
 	})
 }
 

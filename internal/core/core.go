@@ -12,7 +12,6 @@
 package core
 
 import (
-	"context"
 	"io"
 
 	"mobilehpc/internal/apps/hpl"
@@ -94,33 +93,4 @@ func RunExperiment(w io.Writer, id string, quick bool) error {
 		return err
 	}
 	return e.Run(harness.Options{Quick: quick}).Render(w)
-}
-
-// RunAllExperiments regenerates every table and figure serially (the
-// legacy path; equivalent to RunAllExperimentsParallel with jobs=1).
-func RunAllExperiments(w io.Writer, quick bool) error {
-	return harness.RunAll(w, harness.Options{Quick: quick})
-}
-
-// RunAllExperimentsParallel regenerates every table and figure on a
-// bounded worker pool of up to `jobs` workers. The output stream is
-// byte-identical to RunAllExperiments for every jobs value: experiments
-// merge in registry order and each owns its engines and RNGs.
-func RunAllExperimentsParallel(w io.Writer, quick bool, jobs int) error {
-	return harness.RunAll(w, harness.Options{Quick: quick, Jobs: jobs})
-}
-
-// RunAllExperimentsContext is RunAllExperimentsParallel bounded by
-// ctx: cancelling it aborts in-flight simulations at their next event,
-// renders nothing, and returns the context's error; a run that
-// completes first is byte-identical to an unbounded one.
-func RunAllExperimentsContext(ctx context.Context, w io.Writer, quick bool, jobs int) error {
-	return harness.RunAllContext(ctx, w, harness.Options{Quick: quick, Jobs: jobs})
-}
-
-// RunAllExperimentsOpts is RunAllExperimentsContext taking the full
-// options struct, for callers that also set the intra-run partition
-// count. Output is byte-identical for every Options value.
-func RunAllExperimentsOpts(ctx context.Context, w io.Writer, o harness.Options) error {
-	return harness.RunAllContext(ctx, w, o)
 }

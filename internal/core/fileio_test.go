@@ -108,9 +108,11 @@ func TestParseJobs(t *testing.T) {
 		want int
 		ok   bool
 	}{
-		{"1", 1, true}, {"8", 8, true}, {"auto", 0, true},
-		{"0", 0, false}, {"-3", 0, false}, {"", 0, false},
-		{"eight", 0, false}, {"4.5", 0, false}, {" 4", 0, false},
+		{"1", 1, true}, {"8", 8, true}, {"96", 96, true}, {"auto", 0, true},
+		{"0", 0, false}, {"-3", 0, false}, {"-8", 0, false}, {"", 0, false},
+		{"eight", 0, false}, {"4.5", 0, false}, {"1.5", 0, false},
+		{" 4", 0, false}, {"4 ", 0, false}, {"0x4", 0, false},
+		{"AUTO", 0, false}, // case-sensitive, like every other flag value
 	}
 	for _, c := range cases {
 		got, err := ParseJobs(c.in)

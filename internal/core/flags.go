@@ -30,22 +30,6 @@ func ParseJobs(s string) (int, error) {
 	return n, nil
 }
 
-// ParseIntra validates an intra-run partition-count specification
-// (-intra / MHPC_INTRA): a positive integer, or "auto" for one
-// partition per CPU. Follows the same strict rules as ParseJobs —
-// zero, negative, and non-numeric values are errors, not fallbacks.
-func ParseIntra(s string) (int, error) {
-	if s == "auto" {
-		return runtime.GOMAXPROCS(0), nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf(
-			"invalid intra-run partition count %q: want a positive integer or \"auto\" (one per CPU)", s)
-	}
-	return n, nil
-}
-
 // PositiveInt rejects a non-positive integer flag value: the returned
 // error names the flag so a CLI can surface it verbatim.
 func PositiveInt(flag string, v int) error {

@@ -97,55 +97,6 @@ func TestCancelSuspendedMPIRanksLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// Abort wall for the partitioned (conservative-PDES) engine: a cancel
-// that lands while a Group is mid-window must unwind every partition
-// engine — the coordinator, the parked worker goroutines, and any rank
-// procs suspended inside MPI state machines across partitions — return
-// context.Canceled, render nothing, and leak no goroutines. The
-// threshold sweep walks the abort point from the first windows deep
-// into the run; the deadline check bounds teardown latency: from the
-// moment the observer fires the cancel to TablesContext returning must
-// stay within the run's 100 ms abort budget (relaxed under -race,
-// whose scheduling overhead makes tight wall-clock bounds flaky).
-func TestCancelUnderPDESLeavesNoGoroutines(t *testing.T) {
-	budget := 100 * time.Millisecond
-	if testing.Short() {
-		budget = time.Second // -race wall: prove promptness, not latency
-	}
-	for _, intra := range []int{2, 4} {
-		for _, after := range []int64{200, 2500, 15000} {
-			base := runtime.NumGoroutine()
-			ctx, cancel := context.WithCancel(context.Background())
-			var cancelledAt atomic.Pointer[time.Time]
-			obs := &cancelAfterDispatches{after: after, cancel: func() {
-				now := time.Now()
-				cancelledAt.Store(&now)
-				cancel()
-			}}
-			sim.SetDefaultObserver(obs)
-			tabs, err := TablesContext(ctx, []string{"fig6"}, Options{Quick: true, Jobs: 2, Intra: intra})
-			returned := time.Now()
-			sim.SetDefaultObserver(nil)
-			cancel()
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("intra=%d after=%d: err = %v, want context.Canceled", intra, after, err)
-			}
-			if tabs != nil {
-				t.Fatalf("intra=%d after=%d: cancelled run returned tables", intra, after)
-			}
-			if got := obs.n.Load(); got < after {
-				t.Fatalf("intra=%d after=%d: run finished at %d events — cancel landed too late", intra, after, got)
-			}
-			if at := cancelledAt.Load(); at != nil {
-				if d := returned.Sub(*at); d > budget {
-					t.Errorf("intra=%d after=%d: run returned %v after cancel, want <= %v", intra, after, d, budget)
-				}
-			}
-			waitGoroutines(t, base)
-		}
-	}
-}
-
 // Cancellation through the reliability Monte-Carlo chunk loop: the
 // stability experiment spends its time in reduceChunks, not in an
 // engine, and must still unwind with context.Canceled.

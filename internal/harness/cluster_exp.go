@@ -55,7 +55,6 @@ func fig6Nodes(quick bool) []int {
 }
 
 func runFig6(o Options) *Table {
-	tib := func(n int) *cluster.Cluster { return cluster.TibidaboIntra(n, o.Intra) }
 	t := &Table{
 		ID: "fig6", Title: "Application speedup on Tibidabo (Tegra2 @ 1 GHz, MPI/TCP)",
 		Paper:   "Figure 6",
@@ -82,9 +81,9 @@ func runFig6(o Options) *Table {
 	}
 
 	base := nodes[0]
-	specBase := specfem.Run(tib(base), base, specCfg()).Elapsed
-	hydroBase := hydro.Run(tib(base), base, hydroCfg()).Elapsed
-	mdBase := md.Run(tib(base), base, mdCfg()).Elapsed
+	specBase := specfem.Run(cluster.Tibidabo(base), base, specCfg()).Elapsed
+	hydroBase := hydro.Run(cluster.Tibidabo(base), base, hydroCfg()).Elapsed
+	mdBase := md.Run(cluster.Tibidabo(base), base, mdCfg()).Elapsed
 
 	// PEPC cannot run below its memory floor; its speedup is plotted
 	// assuming linear scaling at the smallest feasible count (§4).
@@ -93,7 +92,7 @@ func runFig6(o Options) *Table {
 	pepcBaseNodes := 0
 	for _, n := range nodes {
 		if n >= pepcMin {
-			r, err := pepc.Run(tib(n), n, pepcCfg())
+			r, err := pepc.Run(cluster.Tibidabo(n), n, pepcCfg())
 			if err == nil {
 				pepcBase = r.Elapsed
 				pepcBaseNodes = n
@@ -107,7 +106,7 @@ func runFig6(o Options) *Table {
 	eff1 := hplEff1()
 	hplAt := func(n int) float64 {
 		N := int(8192 * math.Sqrt(float64(n)))
-		r := hpl.Run(tib(n), n, hpl.Config{N: N, RealN: 64})
+		r := hpl.Run(cluster.Tibidabo(n), n, hpl.Config{N: N, RealN: 64})
 		return r.Efficiency * float64(n) / eff1
 	}
 
@@ -120,16 +119,16 @@ func runFig6(o Options) *Table {
 			n := nodes[i]
 			cells := []string{fmt.Sprintf("%d", n)}
 			cells = append(cells, fmt.Sprintf("%.1f", hplAt(n)))
-			s := specfem.Run(tib(n), n, specCfg()).Elapsed
+			s := specfem.Run(cluster.Tibidabo(n), n, specCfg()).Elapsed
 			cells = append(cells, fmt.Sprintf("%.1f", specBase/s*float64(base)))
-			h := hydro.Run(tib(n), n, hydroCfg()).Elapsed
+			h := hydro.Run(cluster.Tibidabo(n), n, hydroCfg()).Elapsed
 			cells = append(cells, fmt.Sprintf("%.1f", hydroBase/h*float64(base)))
-			m := md.Run(tib(n), n, mdCfg()).Elapsed
+			m := md.Run(cluster.Tibidabo(n), n, mdCfg()).Elapsed
 			cells = append(cells, fmt.Sprintf("%.1f", mdBase/m*float64(base)))
 			if n < pepcMin || pepcBaseNodes == 0 {
 				cells = append(cells, "-")
 			} else {
-				r, err := pepc.Run(tib(n), n, pepcCfg())
+				r, err := pepc.Run(cluster.Tibidabo(n), n, pepcCfg())
 				if err != nil {
 					cells = append(cells, "-")
 				} else {
@@ -190,7 +189,6 @@ func runFig7(Options) *Table {
 }
 
 func runGreen500(o Options) *Table {
-	tib := func(n int) *cluster.Cluster { return cluster.TibidaboIntra(n, o.Intra) }
 	t := &Table{
 		ID: "green500", Title: "Tibidabo HPL: GFLOPS, efficiency, power, MFLOPS/W",
 		Paper:   "§4",
@@ -204,7 +202,7 @@ func runGreen500(o Options) *Table {
 		func(i int) string { return fmt.Sprintf("green500/n=%d", nodes[i]) },
 		o.Jobs, len(nodes), func(i int) []string {
 			n := nodes[i]
-			cl := tib(n)
+			cl := cluster.Tibidabo(n)
 			N := int(8192 * math.Sqrt(float64(n)))
 			r := hpl.Run(cl, n, hpl.Config{N: N, RealN: 64})
 			w := cl.PowerW(2)

@@ -132,12 +132,6 @@ type Options struct {
 	// each task owns its engine and RNG, and results merge in task
 	// order (see pool.go).
 	Jobs int
-	// Intra is the number of conservative-PDES partitions inside each
-	// simulated cluster (0 or 1 = sequential engine). Orthogonal to
-	// Jobs: Jobs parallelises across independent sub-runs, Intra
-	// parallelises within one simulation. Output is byte-identical for
-	// every value — partitioning is an engine implementation detail.
-	Intra int
 }
 
 // Experiment is one registered table/figure generator.

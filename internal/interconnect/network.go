@@ -19,12 +19,6 @@ type Link struct {
 	// the §6.1 failure mode where an unstable PCIe/NIC attach delivers
 	// only a fraction of line rate. Mutated via Degrade/Restore.
 	degrade float64
-	// busyUntil is the current holder's scheduled release time, written
-	// at every hold. While the link is held it is exact, so it lower-
-	// bounds any queued waiter's acquisition time — what lets a queued
-	// partitioned flow keep its promise fresh instead of stalling the
-	// window coordinator at the bound it had when it joined the queue.
-	busyUntil float64
 }
 
 // NewLink creates a link bound to engine e.
@@ -60,19 +54,11 @@ func (l *Link) Restore() { l.degrade = 1 }
 // (1 when the link is healthy).
 func (l *Link) DegradeFactor() float64 { return l.degrade }
 
-// nominalSer is the degrade-free wire time for m bytes: a lower bound
-// on any serialisation the link will ever perform, no matter how the
-// degrade factor moves later (factors are clamped >= 1), which makes
-// it the safe term for conservative-lookahead bounds.
-func (l *Link) nominalSer(m int) float64 { return float64(m) * 8 / (l.Gbps * 1e9) }
-
 // Transfer occupies the link for m bytes from process p, blocking p
 // while the link is busy with earlier messages.
 func (l *Link) Transfer(p *sim.Proc, m int) {
 	l.res.Acquire(p)
-	ser := l.SerializationTime(m)
-	l.busyUntil = l.eng.Now() + ser
-	p.Wait(ser)
+	p.Wait(l.SerializationTime(m))
 	l.res.Release()
 }
 
@@ -83,9 +69,7 @@ func (l *Link) Transfer(p *sim.Proc, m int) {
 // (and goldens) are unchanged.
 func (l *Link) TransferFunc(m int, done func()) {
 	l.res.AcquireFunc(func() {
-		ser := l.SerializationTime(m)
-		l.busyUntil = l.eng.Now() + ser
-		l.eng.After(ser, func() {
+		l.eng.After(l.SerializationTime(m), func() {
 			l.res.Release()
 			done()
 		})
@@ -114,9 +98,7 @@ func (l *Link) TransferChunked(p *sim.Proc, m, chunk int) {
 	var acquired, sentDone func()
 	acquired = func() {
 		cur = min(chunk, m-sent)
-		ser := l.SerializationTime(cur)
-		l.busyUntil = l.eng.Now() + ser
-		l.eng.After(ser, sentDone)
+		l.eng.After(l.SerializationTime(cur), sentDone)
 	}
 	sentDone = func() {
 		sent += cur
@@ -251,16 +233,10 @@ type Delivery struct {
 	m         int // message size, bytes
 	sent, cur int // progress across the current link
 	done      func()
-	// Partitioned-run state (see StartCross); all nil/zero on the
-	// sequential path, whose behaviour is untouched.
-	origin  *sim.Engine  // engine done is delivered back to
-	remote  func()       // optional arrival-time action in the final partition
-	promise *sim.Promise // lower bound on the next cross-partition arrival
-	// The machine states, bound once at construction so the pump
+	// The two machine states, bound once at construction so the pump
 	// schedules no per-chunk closures.
-	acquired  func() // link held: schedule the next chunk's wire time
-	sentDone  func() // chunk on the wire: release, advance
-	crossCont func() // resume the machine on the next link's partition
+	acquired func() // link held: schedule the next chunk's wire time
+	sentDone func() // chunk on the wire: release, advance
 }
 
 // NewDelivery returns an idle Delivery over n's topology.
@@ -274,38 +250,7 @@ func NewDelivery(n *Network) *Delivery {
 		} else {
 			d.cur = rem
 		}
-		ser := l.SerializationTime(d.cur)
-		l.busyUntil = l.eng.Now() + ser
-		if d.origin != nil && d.sent+d.cur >= d.m && d.li+1 < len(d.path) {
-			if nxt := d.path[d.li+1]; nxt.eng != l.eng {
-				// Partition handoff: the final chunk's completion on
-				// this link is a cross-partition arrival. Announce it
-				// now — at chunk start, the earliest the window
-				// coordinator can learn of it — and split the chunk-end
-				// work: the emitting partition only releases the link;
-				// the machine itself continues on the next partition.
-				// The exchange-barrier handoff is also the
-				// happens-before edge for the machine state the next
-				// partition reads. The arrival itself no longer needs
-				// promise cover (the outbox is drained at this window's
-				// barrier, ahead of the next horizon scan), so the
-				// promise jumps to the machine's next crossing beyond
-				// it.
-				t := l.eng.Now() + ser
-				d.promise.Advance(d.crossBound(d.li+1, d.m, t))
-				l.eng.After(ser, l.res.Release)
-				l.eng.CrossAt(nxt.eng, t, d.crossCont)
-				return
-			}
-		}
-		if d.origin != nil {
-			// No cross-partition arrival can precede the remaining
-			// bytes' march to the next partition boundary: tighten the
-			// promise so the window coordinator is never pinned at this
-			// flow's next chunk event.
-			d.promise.Advance(d.crossBound(d.li, d.m-d.sent, l.eng.Now()))
-		}
-		l.eng.After(ser, d.sentDone)
+		d.net.Eng.After(l.SerializationTime(d.cur), d.sentDone)
 	}
 	d.sentDone = func() {
 		d.sent += d.cur
@@ -313,61 +258,18 @@ func NewDelivery(n *Network) *Delivery {
 		if d.sent < d.m {
 			// More chunks on this link: re-acquire behind queued waiters,
 			// exactly as the blocking pump does.
-			d.acquire()
+			d.path[d.li].res.AcquireFunc(d.acquired)
 			return
 		}
 		d.li++
 		if d.li < len(d.path) {
 			d.sent = 0
-			d.acquire()
+			d.path[d.li].res.AcquireFunc(d.acquired)
 			return
 		}
 		d.finish()
 	}
-	d.crossCont = func() {
-		d.li++
-		d.sent = 0
-		d.acquire()
-	}
 	return d
-}
-
-// acquire requests the current link for the machine. When the link is
-// busy, the flow cannot even start before the current holder's
-// release — advance the promise from that later origin before joining
-// the queue, so a flow parked behind a long transfer does not pin the
-// window horizon at its stale pre-queue value.
-func (d *Delivery) acquire() {
-	l := d.path[d.li]
-	if d.promise != nil && l.res.Free() == 0 && l.busyUntil > l.eng.Now() {
-		d.promise.Advance(d.crossBound(d.li, d.m-d.sent, l.busyUntil))
-	}
-	l.res.AcquireFunc(d.acquired)
-}
-
-// crossBound returns a lower bound on the machine's next unposted
-// cross-partition arrival, given rem bytes still to serialise on link
-// li starting no earlier than `from`. Store-and-forward lets it sum
-// full-message wire times link by link up to the next partition
-// boundary (whose handoff arrival is the end of the message on the
-// link before it); if no boundary remains, the next crossing is the
-// completion wake-back to the origin, past the whole tail of the path.
-// Chunked networks pipeline across links, so only the current link's
-// residue is summed. All terms use nominal (degrade-free) wire time,
-// immune to later Degrade/Restore swings.
-func (d *Delivery) crossBound(li, rem int, from float64) float64 {
-	path := d.path
-	t := from + path[li].nominalSer(rem)
-	if d.net.ChunkBytes > 0 {
-		return t
-	}
-	for k := li + 1; k < len(path); k++ {
-		if path[k].eng != path[k-1].eng {
-			return t
-		}
-		t += path[k].nominalSer(d.m)
-	}
-	return t
 }
 
 // Start begins delivering m bytes from src to dst; done runs when the
@@ -389,78 +291,18 @@ func (d *Delivery) Start(src, dst, m int, done func()) {
 	path[0].res.AcquireFunc(d.acquired)
 }
 
-// StartCross is Start for partitioned (conservative-parallel) runs:
-// the route may traverse links owned by different partitions, done is
-// delivered back to the origin partition (the first link's engine —
-// which must be the calling partition), and remote, when non-nil, runs
-// at the same arrival instant in the final link's partition (the
-// receiver-side action an unpartitioned caller would perform inline
-// after done). pr must lower-bound the flow's first cross-partition
-// arrival; the machine advances it along the route and releases it at
-// completion. For src == dst, remote then done run synchronously.
-func (d *Delivery) StartCross(src, dst, m int, pr *sim.Promise, remote, done func()) {
-	if d.done != nil {
-		panic("interconnect: Delivery already in flight")
-	}
-	path := d.net.Route(src, dst)
-	if len(path) == 0 {
-		pr.Release()
-		if remote != nil {
-			remote()
-		}
-		done()
-		return
-	}
-	d.path, d.li, d.m, d.sent, d.done = path, 0, m, 0, done
-	d.origin, d.remote, d.promise = path[0].eng, remote, pr
-	if localRoute(path) {
-		// The whole route lives in the origin partition: the flow will
-		// post no cross-partition events (CrossAt to the local engine is
-		// plain AtFunc), so holding the promise would only throttle the
-		// window horizon for nothing.
-		pr.Release()
-		d.promise = nil
-	}
-	d.acquire()
-}
-
-// localRoute reports whether every link of the path lives on one
-// engine — the common case for messages between topology neighbours
-// when partitions align with switch subtrees.
-func localRoute(path []*Link) bool {
-	for _, l := range path[1:] {
-		if l.eng != path[0].eng {
-			return false
-		}
-	}
-	return true
-}
-
 // finish charges the per-hop switch latency and hands off to done,
 // resetting the machine for reuse first so done may immediately Start
-// the next message. On the partitioned path the arrival instant is
-// scheduled explicitly: remote locally (the machine already sits in
-// the final link's partition), done back on the origin partition.
+// the next message.
 func (d *Delivery) finish() {
-	last := d.path[len(d.path)-1]
 	hops := len(d.path) - 1
-	done, remote, origin, pr := d.done, d.remote, d.origin, d.promise
-	d.path, d.done, d.remote, d.origin, d.promise = nil, nil, nil, nil, nil
-	if origin == nil {
-		if hops > 0 {
-			last.eng.After(float64(hops)*d.net.SwitchLatUS*1e-6, done)
-			return
-		}
-		done()
+	done := d.done
+	d.path, d.done = nil, nil
+	if hops > 0 {
+		d.net.Eng.After(float64(hops)*d.net.SwitchLatUS*1e-6, done)
 		return
 	}
-	t := last.eng.Now() + float64(hops)*d.net.SwitchLatUS*1e-6
-	if remote != nil {
-		last.eng.AtFunc(t, remote)
-	}
-	pr.Advance(t)
-	last.eng.CrossAt(origin, t, done)
-	pr.Release()
+	done()
 }
 
 // DeliverFunc is the event-driven counterpart of Deliver for one-shot
@@ -483,23 +325,14 @@ func (n *Network) PathHops(src, dst int) int {
 // SingleSwitch builds a star topology: every node connects up and down
 // to one switch. Link capacity gbps each way.
 func SingleSwitch(e *sim.Engine, nodes int, gbps, switchLatUS float64) *Network {
-	return SingleSwitchPart(func(int) *sim.Engine { return e }, nodes, gbps, switchLatUS)
-}
-
-// SingleSwitchPart is SingleSwitch with per-node engine placement for
-// partitioned (conservative-parallel) runs: node i's NIC links live on
-// engOf(i), so a message crosses partitions exactly where its route
-// moves from a source-owned to a destination-owned link. With a
-// constant engOf it is exactly SingleSwitch.
-func SingleSwitchPart(engOf func(node int) *sim.Engine, nodes int, gbps, switchLatUS float64) *Network {
 	up := make([]*Link, nodes)
 	down := make([]*Link, nodes)
 	for i := range up {
-		up[i] = NewLink(engOf(i), fmt.Sprintf("up%d", i), gbps)
-		down[i] = NewLink(engOf(i), fmt.Sprintf("down%d", i), gbps)
+		up[i] = NewLink(e, fmt.Sprintf("up%d", i), gbps)
+		down[i] = NewLink(e, fmt.Sprintf("down%d", i), gbps)
 	}
 	return &Network{
-		Eng: engOf(0), SwitchLatUS: switchLatUS, nodes: nodes, up: up, down: down,
+		Eng: e, SwitchLatUS: switchLatUS, nodes: nodes, up: up, down: down,
 		route: func(src, dst int) []*Link {
 			return []*Link{up[src], down[dst]}
 		},
@@ -511,16 +344,6 @@ func SingleSwitchPart(engOf func(node int) *sim.Engine, nodes int, gbps, switchL
 // through uplinks of uplinkGbps (aggregated trunks; the bisection
 // bandwidth is leaves*uplinkGbps/2 each way).
 func Tree(e *sim.Engine, nodes, radix int, gbps, uplinkGbps, switchLatUS float64) *Network {
-	return TreePart(func(int) *sim.Engine { return e }, nodes, radix, gbps, uplinkGbps, switchLatUS)
-}
-
-// TreePart is Tree with per-node engine placement for partitioned
-// runs. NIC links belong to their node's partition; a leaf's trunk
-// links belong to the partition of its first node, which owns the
-// whole leaf whenever partitions are leaf-aligned (192 nodes / radix
-// 48 / 4 partitions), so only trunk traversals cross partitions. With
-// a constant engOf it is exactly Tree.
-func TreePart(engOf func(node int) *sim.Engine, nodes, radix int, gbps, uplinkGbps, switchLatUS float64) *Network {
 	if radix <= 0 {
 		panic("interconnect: non-positive radix")
 	}
@@ -528,18 +351,17 @@ func TreePart(engOf func(node int) *sim.Engine, nodes, radix int, gbps, uplinkGb
 	up := make([]*Link, nodes)
 	down := make([]*Link, nodes)
 	for i := range up {
-		up[i] = NewLink(engOf(i), fmt.Sprintf("up%d", i), gbps)
-		down[i] = NewLink(engOf(i), fmt.Sprintf("down%d", i), gbps)
+		up[i] = NewLink(e, fmt.Sprintf("up%d", i), gbps)
+		down[i] = NewLink(e, fmt.Sprintf("down%d", i), gbps)
 	}
 	trunkUp := make([]*Link, leaves)
 	trunkDown := make([]*Link, leaves)
 	for l := range trunkUp {
-		e := engOf(l * radix)
 		trunkUp[l] = NewLink(e, fmt.Sprintf("trunkUp%d", l), uplinkGbps)
 		trunkDown[l] = NewLink(e, fmt.Sprintf("trunkDown%d", l), uplinkGbps)
 	}
 	return &Network{
-		Eng: engOf(0), SwitchLatUS: switchLatUS, nodes: nodes, up: up, down: down,
+		Eng: e, SwitchLatUS: switchLatUS, nodes: nodes, up: up, down: down,
 		route: func(src, dst int) []*Link {
 			ls, ld := src/radix, dst/radix
 			if ls == ld {

@@ -144,16 +144,6 @@ func (e Endpoint) RecvCost(m int) float64 {
 	return e.SendCost(m) // symmetric in this model
 }
 
-// InjectionFloor returns the minimum virtual time between an MPI-level
-// send initiation and the message's earliest possible appearance on
-// any network link: the zero-byte SendCost (~50 µs for Tegra 2 over
-// TCP/IP). This is the static lookahead the conservative parallel
-// simulation extracts from the interconnect — any event can start a
-// new flow, but never one whose first cross-partition arrival precedes
-// the event by less than this; in-flight flows are bounded by their
-// own promises instead.
-func (e Endpoint) InjectionFloor() float64 { return e.SendCost(0) }
-
 // OneWayLatency returns the end-to-end one-way time (seconds) for an
 // m-byte message between two identical endpoints over a direct link of
 // linkGbps, excluding switch hops (use a Network for topologies). This

@@ -51,23 +51,10 @@ type Rank struct {
 	id      int
 	comm    *Comm
 	proc    *sim.Proc
-	eng     *sim.Engine // the engine simulating this rank's node
 	pending []*Msg
 	waiting []*recvWait
 	collSeq int  // per-rank collective invocation counter (see collTag)
 	inColl  bool // suppress per-message tracing inside collectives
-
-	// Partitioned-run state: per-rank stats (merged into the Comm after
-	// the run — ranks on different partitions must not share counters),
-	// the in-flight send's promise, and the payload fields the
-	// partitioned ship closure reads (the sequential path hands the Msg
-	// to the destination synchronously and needs neither).
-	bytesSent int64
-	msgs      int64
-	sndTag    int
-	sndData   any
-	sndPr     *sim.Promise
-	hsResume  func(float64) // HostSync rendezvous release → wake
 
 	// Event-driven protocol path. Send and the blocked arm of Recv park
 	// the rank exactly once: the protocol steps in between (injection
@@ -93,37 +80,15 @@ type Rank struct {
 // initChains binds the per-rank continuations. Called once per rank at
 // startup, after the process exists.
 func (r *Rank) initChains() {
-	eng := r.eng
+	eng := r.comm.Cl.Eng
 	r.snd = interconnect.NewDelivery(r.comm.Cl.Net)
 	r.wakeFn = func() { r.proc.Wake() }
-	if r.comm.rv != nil {
-		// Partitioned: the destination rank may live on another engine,
-		// so the Msg is built here (the rank reuses snd* fields for its
-		// next Send while the remote deliver event is still pending) and
-		// delivered via the cross-partition completion; the promise
-		// registered at Send time rides the Delivery to bound the
-		// message's arrivals until they are posted.
-		r.hsResume = func(float64) { r.proc.Wake() }
-		r.sndShip = func() {
-			m := &Msg{Src: r.id, Tag: r.sndTag, Bytes: r.sndBytes, Data: r.sndData}
-			pr := r.sndPr
-			r.sndPr, r.sndData = nil, nil
-			dst := r.comm.ranks[r.sndDst]
-			r.snd.StartCross(r.id, r.sndDst, r.sndBytes, pr,
-				func() { dst.deliver(m) }, r.wakeFn)
-		}
-	} else {
-		r.sndShip = func() { r.snd.Start(r.id, r.sndDst, r.sndBytes, r.wakeFn) }
-	}
+	r.sndShip = func() { r.snd.Start(r.id, r.sndDst, r.sndBytes, r.wakeFn) }
 	r.sndStep = func() {
 		if th := r.comm.Cl.Proto.RendezvousBytes; th > 0 && r.sndBytes > th {
 			// RTS/CTS round trip before the payload moves.
 			ep := r.Node().Endpoint(r.comm.Cl.Proto)
-			rtt := 2 * ep.SoftwareLatencyUS() * 1e-6
-			// The payload cannot reach any link before the handshake
-			// completes (nil-safe: sndPr is nil on sequential runs).
-			r.sndPr.Advance(eng.Now() + rtt)
-			eng.After(rtt, r.sndShip)
+			eng.After(2*ep.SoftwareLatencyUS()*1e-6, r.sndShip)
 			return
 		}
 		r.sndShip()
@@ -154,11 +119,7 @@ type Comm struct {
 
 	hostSyncQ []*sim.Queue
 	hostSyncN int
-	// rv replaces the hostSyncQ machinery on partitioned runs: a
-	// virtual-time rendezvous coordinated by the PDES window loop (the
-	// queue realisation assumes one engine). Non-nil iff Cl.Group is.
-	rv     *sim.Rendezvous
-	tracer *trace.Trace
+	tracer    *trace.Trace
 
 	// xferBytes is the telemetry histogram of point-to-point message
 	// sizes (obs "mpi.transfer_bytes"), resolved once at communicator
@@ -211,43 +172,18 @@ func runCommon(cl *cluster.Cluster, n int, prog func(r *Rank), tr *trace.Trace) 
 	if n <= 0 || n > cl.Size() {
 		panic(fmt.Sprintf("mpi: %d ranks on %d-node cluster", n, cl.Size()))
 	}
-	g := cl.Group
-	if g != nil && tr != nil {
-		panic("mpi: tracing requires a sequential cluster (build with Intra <= 1)")
-	}
 	comm := &Comm{Cl: cl, ranks: make([]*Rank, n), tracer: tr,
 		pairBytes: make([]int64, n*n),
 		xferBytes: obs.Active().Histogram("mpi.transfer_bytes")}
-	if g != nil {
-		comm.rv = g.NewRendezvous(n)
-	}
 	for i := 0; i < n; i++ {
-		r := &Rank{id: i, comm: comm, eng: cl.EngOf(i)}
+		r := &Rank{id: i, comm: comm}
 		comm.ranks[i] = r
-		r.proc = r.eng.Go(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+		r.proc = cl.Eng.Go(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
 			prog(r)
 		})
 		r.initChains()
 	}
-	var end float64
-	if g != nil {
-		end = g.Run()
-		live := 0
-		for i := 0; i < g.Size(); i++ {
-			live += g.Engine(i).LiveProcs()
-		}
-		if live != 0 {
-			panic(fmt.Sprintf("mpi: deadlock — %d ranks still blocked at t=%v", live, end))
-		}
-		for _, r := range comm.ranks {
-			comm.BytesSent += r.bytesSent
-			comm.Msgs += r.msgs
-		}
-		obs.Active().Counter("sim.window_count").Add(g.Windows())
-		obs.Active().Counter("sim.partition_stalls").Add(g.Stalls())
-		return comm, end
-	}
-	end = cl.Eng.RunAll()
+	end := cl.Eng.RunAll()
 	if cl.Eng.LiveProcs() != 0 {
 		panic(fmt.Sprintf("mpi: deadlock — %d ranks still blocked at t=%v",
 			cl.Eng.LiveProcs(), end))
@@ -315,24 +251,7 @@ func (r *Rank) Send(dst, tag int, data any, bytes int) {
 	// the wire delivery all chain as events (sndStep -> sndShip ->
 	// Delivery), whose last one resumes the rank directly.
 	r.sndDst, r.sndBytes = dst, bytes
-	if r.comm.rv != nil {
-		// The message cannot touch any link before the injection cost is
-		// paid: promise that to the window coordinator now, so partitions
-		// can run ahead while this send is still in flight.
-		r.sndTag, r.sndData = tag, data
-		r.sndPr = r.eng.NewPromise(t0 + ep.SendCost(bytes))
-		r.eng.After(ep.SendCost(bytes), r.sndStep)
-		r.proc.Suspend()
-		r.record(trace.Send, t0)
-		// Per-rank counters (merged post-run); the pairBytes row is
-		// owned by this rank, so rows never race across partitions.
-		r.bytesSent += int64(bytes)
-		r.msgs++
-		r.comm.pairBytes[r.id*r.Size()+dst] += int64(bytes)
-		r.comm.xferBytes.Observe(int64(bytes))
-		return
-	}
-	r.eng.After(ep.SendCost(bytes), r.sndStep)
+	r.comm.Cl.Eng.After(ep.SendCost(bytes), r.sndStep)
 	r.proc.Suspend()
 	r.record(trace.Send, t0)
 	r.comm.BytesSent += int64(bytes)
@@ -417,15 +336,6 @@ func (r *Rank) match(src, tag int) *Msg {
 // a modelled barrier here would overstate communication.
 func (r *Rank) HostSync() {
 	c := r.comm
-	if c.rv != nil {
-		// Partitioned: the queue realisation below assumes one engine,
-		// so the window coordinator's rendezvous synchronises instead —
-		// same semantics (everyone resumes at the latest arrival, no
-		// modelled traffic), deterministic release order.
-		c.rv.Arrive(r.eng, r.id, r.hsResume)
-		r.proc.Suspend()
-		return
-	}
 	if c.hostSyncQ == nil {
 		c.hostSyncQ = make([]*sim.Queue, len(c.ranks))
 		for i := range c.hostSyncQ {

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"mobilehpc/internal/interconnect"
-	"mobilehpc/internal/sim"
-)
+import "mobilehpc/internal/interconnect"
 
 // Request is a handle for a nonblocking operation; Wait blocks the
 // owning rank until the operation completes. Completion is event-driven:
@@ -69,51 +66,26 @@ func (r *Rank) Isend(dst, tag int, data any, bytes int) *Request {
 		panic("mpi: negative message size")
 	}
 	ep := r.Node().Endpoint(r.comm.Cl.Proto)
-	part := r.comm.rv != nil
-	var pr *sim.Promise
-	if part {
-		// Promise before parking: the first link crossing cannot precede
-		// now + injection cost, and windows may advance during the park.
-		pr = r.eng.NewPromise(r.proc.Now() + ep.SendCost(bytes))
-	}
 	// CPU injection cost blocks the caller (it is core time).
 	r.proc.Wait(ep.SendCost(bytes))
 	req := &Request{rank: r}
-	eng := r.eng
+	eng := r.comm.Cl.Eng
 	// In-flight sends overlap, so each request gets its own Delivery.
 	d := interconnect.NewDelivery(r.comm.Cl.Net)
-	var ship func()
-	if part {
-		m := &Msg{Src: r.id, Tag: tag, Bytes: bytes, Data: data}
-		dstR := r.comm.ranks[dst]
-		ship = func() {
-			d.StartCross(r.id, dst, bytes, pr,
-				func() { dstR.deliver(m) },
-				func() {
-					r.bytesSent += int64(bytes)
-					r.msgs++
-					r.comm.pairBytes[r.id*r.Size()+dst] += int64(bytes)
-					req.complete(nil)
-				})
-		}
-	} else {
-		ship = func() {
-			d.Start(r.id, dst, bytes, func() {
-				r.comm.BytesSent += int64(bytes)
-				r.comm.Msgs++
-				r.comm.pairBytes[r.id*r.Size()+dst] += int64(bytes)
-				r.comm.ranks[dst].deliver(&Msg{Src: r.id, Tag: tag, Bytes: bytes, Data: data})
-				req.complete(nil)
-			})
-		}
+	ship := func() {
+		d.Start(r.id, dst, bytes, func() {
+			r.comm.BytesSent += int64(bytes)
+			r.comm.Msgs++
+			r.comm.pairBytes[r.id*r.Size()+dst] += int64(bytes)
+			r.comm.ranks[dst].deliver(&Msg{Src: r.id, Tag: tag, Bytes: bytes, Data: data})
+			req.complete(nil)
+		})
 	}
 	// The zero-delay start event keeps the slot the old helper
 	// process's spawn occupied.
 	eng.After(0, func() {
 		if th := r.comm.Cl.Proto.RendezvousBytes; th > 0 && bytes > th {
-			rtt := 2 * ep.SoftwareLatencyUS() * 1e-6
-			pr.Advance(eng.Now() + rtt)
-			eng.After(rtt, ship)
+			eng.After(2*ep.SoftwareLatencyUS()*1e-6, ship)
 			return
 		}
 		ship()

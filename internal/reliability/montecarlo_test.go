@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -177,11 +178,11 @@ func TestMonteCarloAbort(t *testing.T) {
 				}
 			}()
 			// Raise the flag from inside the first chunk: every later
-			// chunk boundary must refuse to proceed.
-			n := 0
+			// chunk boundary must refuse to proceed. The count is atomic
+			// because at jobs > 1 chunks run on several workers.
+			var n atomic.Int64
 			reduceChunks(20*MCChunk, jobs, func(chunk, trials int) int {
-				n++
-				if n == 1 {
+				if n.Add(1) == 1 {
 					flag.Abort(cause)
 				}
 				return trials

@@ -170,8 +170,6 @@ type Engine struct {
 	stopped    bool
 	obs        Observer   // nil = no telemetry (the default)
 	abort      *AbortFlag // nil = not cancellable (the default)
-	grp        *Group     // owning partition group, nil for a solo engine
-	part       int        // partition index within grp
 
 	// Misuse detection for the one-engine-per-goroutine invariant:
 	// while running is set, owner holds the goroutine id of the single
@@ -484,30 +482,8 @@ func (e *Engine) Stop() { e.stopped = true }
 // Run dispatches events until the queue is empty, Stop is called, or the
 // clock would pass limit (use math.Inf(1) for no limit). It returns the
 // final virtual time.
-func (e *Engine) Run(limit float64) float64 { return e.run(limit, false) }
-
-// RunBefore dispatches every event with time strictly below limit, then
-// returns without advancing the clock to limit — the partition step of
-// the conservative parallel scheme (see Group): the engine's clock stays
-// at its last dispatched event, so cross-partition arrivals at exactly
-// limit can still be inserted afterwards. Other than the strict bound
-// and the untouched clock it behaves exactly like Run.
-func (e *Engine) RunBefore(limit float64) float64 { return e.run(limit, true) }
-
-// run is the dispatch loop shared by Run (inclusive limit, clock
-// advanced to the limit on exit) and RunBefore (strict limit, clock
-// left at the last dispatched event).
-func (e *Engine) run(limit float64, strict bool) float64 {
-	return e.runAs(gid(), limit, strict)
-}
-
-// runAs is run with the dispatch goroutine's id supplied by the
-// caller. The PDES partition workers re-enter the loop once per window
-// from one fixed goroutine; parsing runtime.Stack on each entry would
-// dominate their window turnaround, so they parse it once and pass it
-// here (see Group.Run).
-func (e *Engine) runAs(loopGid int64, limit float64, strict bool) float64 {
-	e.loopGid = loopGid
+func (e *Engine) Run(limit float64) float64 {
+	e.loopGid = gid()
 	e.owner.Store(e.loopGid)
 	e.running.Store(true)
 	defer e.running.Store(false)
@@ -542,11 +518,7 @@ func (e *Engine) runAs(loopGid int64, limit float64, strict bool) float64 {
 			e.recycle(ev)
 			continue
 		}
-		if strict {
-			if ev.time >= limit {
-				return e.now
-			}
-		} else if ev.time > limit {
+		if ev.time > limit {
 			e.now = limit
 			return e.now
 		}
@@ -579,35 +551,6 @@ func (e *Engine) abortRun() {
 		e.terminate(e.live[len(e.live)-1])
 	}
 	panic(&AbortError{Err: e.abort.Err()})
-}
-
-// killProcs terminates every live process so its goroutine unwinds and
-// exits — the teardown half of abortRun without the panic. The
-// partition group uses it to drain sibling partitions after one of them
-// aborted, keeping the zero-leaked-goroutines contract across engines.
-// Must be called from the goroutine that last ran this engine (or with
-// the engine idle); the engine is not reusable afterwards.
-func (e *Engine) killProcs() {
-	for len(e.live) > 0 {
-		e.terminate(e.live[len(e.live)-1])
-	}
-}
-
-// NextTime reports the earliest queued event time, or ok=false when the
-// queue is empty. Cancelled events still count — their time is a valid
-// lower bound, which is all the conservative window computation needs.
-func (e *Engine) NextTime() (t float64, ok bool) {
-	if e.head == nil && len(e.heap) == 0 {
-		return 0, false
-	}
-	t = math.Inf(1)
-	if e.head != nil {
-		t = e.head.time
-	}
-	if len(e.heap) > 0 && e.heap[0].time < t {
-		t = e.heap[0].time
-	}
-	return t, true
 }
 
 // dropMin removes the current minimum from wherever it lives.
