@@ -1,28 +1,25 @@
 # Verification gates for the mobilehpc reproduction. `make check` is
-# the full wall a PR must clear: vet, build, the tier-1 test suite, the
-# race smoke pass that exercises the parallel experiment pool (and the
-# fault-injection package), the telemetry smoke run that proves the
-# exporters emit valid JSON without perturbing stdout, the faults
-# smoke run that proves a fault-injected sweep is byte-identical across
-# -j and lands its injected events in the run manifest, and the serve
-# smoke run that boots the real mhpcd binary and exercises cache,
-# admission control, and SIGTERM drain over live HTTP, the stream
-# smoke run that drives the async job plane — SSE telemetry deltas,
-# job cancellation, and the Prometheus /metrics exposition — against
-# the same real binary, the store smoke run that kills and restarts
-# that binary on one -store-dir and requires every precomputed key to
-# survive as a cache hit with zero re-executions, the load smoke
-# run that replays a zipf request mix through cmd/mhpcload against a
-# coalescing mhpcd and validates the resulting mhpc-load-report/v1,
-# and the resume smoke run that SIGKILLs a checkpointing mhpc sweep
-# mid-flight and requires the rerun to restore the committed progress
-# with byte-identical output across -j.
+# the full wall a PR must clear:
+#   vet, build, test   go vet, go build and the tier-1 test suite
+#   race               the -short suite under the race detector
+#   telemetry-smoke    every exporter on, stdout byte-identical, valid JSON
+#   faults-smoke       a fault-injected sweep byte-identical across -j,
+#                      its injected events in the run manifest
+#   bench-smoke        the micro-benches bench/ cannot see still run
+#   benchmark-smoke    every bench/ workload, untraced and traced, end to
+#                      end through the real binaries
+#   serve-smoke        the real mhpcd: cache, admission, SIGTERM drain,
+#                      and a coalescing daemon under concurrent jobs
+#   stream-smoke       SSE telemetry, job cancel, Prometheus /metrics
+#   store-smoke        kill and restart on one -store-dir, zero re-runs
+#   resume-smoke       a SIGKILLed checkpointing sweep resumes
+#                      byte-identically across -j
 GO ?= go
 TMP ?= /tmp/mhpc-smoke
 
-.PHONY: check vet build test race bench bench-smoke bench-snapshot bench-diff telemetry-smoke faults-smoke serve-smoke stream-smoke store-smoke load-smoke resume-smoke
+.PHONY: check vet build test race bench bench-smoke benchmark-smoke telemetry-smoke faults-smoke serve-smoke stream-smoke store-smoke resume-smoke
 
-check: vet build test race telemetry-smoke faults-smoke bench-smoke bench-diff serve-smoke stream-smoke store-smoke load-smoke resume-smoke
+check: vet build test race telemetry-smoke faults-smoke bench-smoke benchmark-smoke serve-smoke stream-smoke store-smoke resume-smoke
 
 vet:
 	$(GO) vet ./...
@@ -39,39 +36,20 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Fast anti-rot gate for the engine micro-benches: a fixed 100
-# iterations (no timing claims, race off) proves they still compile and
-# run. Part of `make check`.
+# Fast anti-rot gate for the micro-benches the repository benchmark
+# (bench/) cannot see: engine dispatch, chunked transfer, the process
+# switch, histogram observe and the scrape path. A fixed 100 iterations
+# (no timing claims, race off) proves they still compile and run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EngineThroughput|TransferChunked' -benchtime 100x \
-		./internal/sim ./internal/interconnect
+	$(GO) test -run '^$$' -bench 'EngineThroughput|TransferChunked|ProcSwitch|HistogramObserve|ScrapeRange' \
+		-benchtime 100x ./internal/sim ./internal/interconnect ./internal/obs
 
-# Perf trajectory snapshot: run the headline benches and record them in
-# BENCH_v9.json (schema mhpc-bench-snapshot/v1; format documented in
-# DESIGN.md, Engine performance). The engine/interconnect micro-benches
-# and the obs scrape path get real benchtime; the multi-second macro
-# benches — including the task-latency quantile bench and the serving
-# tier's cache-cold zipf mix — run a fixed few iterations.
-bench-snapshot:
-	rm -rf $(TMP)-bench && mkdir -p $(TMP)-bench
-	$(GO) test -run '^$$' -bench 'EngineThroughput|TransferChunked|EventDispatch|ProcSwitch' \
-		-benchmem ./internal/sim ./internal/interconnect > $(TMP)-bench/out.txt
-	$(GO) test -run '^$$' -bench 'ScrapeRange|HistogramObserve' -benchmem ./internal/obs \
-		>> $(TMP)-bench/out.txt
-	$(GO) test -run '^$$' -bench 'RunAllJobs|Green500HPL|PoolTaskLatency' -benchtime 1x -benchmem . \
-		>> $(TMP)-bench/out.txt
-	$(GO) test -run '^$$' -bench 'ServeZipfCold' -benchtime 3x -benchmem ./cmd/mhpcd \
-		>> $(TMP)-bench/out.txt
-	$(GO) run ./cmd/benchsnap -o BENCH_v9.json < $(TMP)-bench/out.txt
-	$(GO) run ./cmd/jsoncheck BENCH_v9.json
-
-# Perf regression gate over the committed snapshots: the v9 trajectory
-# must hold the line against v8 — no throughput metric (events/s,
-# chunks/s, req/s) down more than 10%, no steady-state bench newly
-# allocating. Pure file comparison, so it is deterministic on any
-# machine.
-bench-diff:
-	$(GO) run ./cmd/benchdiff BENCH_v8.json BENCH_v9.json
+# The repository benchmark's own smoke: bench/ is a separate module, so
+# this is the gate that builds and runs it. Every workload runs for one
+# second, untraced and traced, through the real binaries, and each
+# result line must be correct with every metric present.
+benchmark-smoke:
+	cd bench && MHPC_BENCH_SMOKE=1 $(GO) test -count=1 .
 
 # End-to-end observability gate: run the full quick registry with every
 # telemetry exporter on, validate both JSON artefacts, and re-check
@@ -101,9 +79,12 @@ faults-smoke:
 
 # End-to-end serving gate: build and exec the real mhpcd binary, then
 # drive it over HTTP — an uncached run, a byte-identical cached replay,
-# a 429 under admission overflow, and a SIGTERM mid-flight that must
-# drain (aborting the straggler through the cancellation path) and
-# exit 0. Race mode on: the server's cache/singleflight/admission
+# a job failing at capacity under admission overflow, and SIGTERMs
+# mid-run that must exit 0 after the drain either stores the unwatched
+# run (it finishes within -drain) or aborts it through the
+# cancellation path with its checkpointed progress kept; then a -batch-window 10ms daemon must
+# coalesce concurrent jobs into sweeps and store byte-identical
+# tables. Race mode on: the server's cache/singleflight/admission
 # state is all shared-memory concurrent.
 serve-smoke:
 	MHPC_SERVE_SMOKE=1 $(GO) test -race -run TestServeSmoke -count=1 ./cmd/mhpcd
@@ -123,17 +104,6 @@ stream-smoke:
 # second life — the kill-and-restart proof that nothing re-executes.
 store-smoke:
 	MHPC_STORE_SMOKE=1 $(GO) test -race -run TestStoreSmoke -count=1 ./cmd/mhpcd
-
-# Load-replay gate: drive a coalescing (-batch-window 10ms) mhpcd with
-# cmd/mhpcload's seeded zipf mix — open-loop arrivals, a client-abandon
-# fraction — then require the emitted mhpc-load-report/v1 to pass both
-# the in-test invariants and jsoncheck's schema validation of the
-# exported artefact.
-load-smoke:
-	rm -rf $(TMP)-load && mkdir -p $(TMP)-load
-	MHPC_LOAD_SMOKE=1 MHPC_LOAD_REPORT_OUT=$(TMP)-load/report.json \
-		$(GO) test -race -run TestLoadSmoke -count=1 ./cmd/mhpcload
-	$(GO) run ./cmd/jsoncheck $(TMP)-load/report.json
 
 # Resumable-run gate: run a full-size fig6+green500 sweep with
 # -ckpt-dir, SIGKILL it once the ledger holds committed sub-runs, and

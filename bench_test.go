@@ -1,15 +1,12 @@
-// Package mobilehpc's top-level benchmarks regenerate every table and
-// figure of the paper — one benchmark per artefact, each reporting the
-// paper's headline quantity as a custom metric so `go test -bench=.`
-// doubles as the reproduction run. Host ns/op measures the simulator,
-// not the modelled hardware; the custom metrics carry the results.
+// Package mobilehpc's top-level benchmarks cover what the repository
+// benchmark (bench/) cannot see: the task-latency quantiles of the
+// harness pool, the real kernels on the host, and ablations of the
+// design choices in DESIGN.md. The registry experiments themselves are
+// timed by bench/'s registry-full workload and pinned by the goldens.
 package mobilehpc
 
 import (
-	"fmt"
 	"io"
-	"math"
-	"runtime"
 	"testing"
 
 	"mobilehpc/internal/apps/hpl"
@@ -18,184 +15,17 @@ import (
 	"mobilehpc/internal/interconnect"
 	"mobilehpc/internal/kernels"
 	"mobilehpc/internal/linalg"
-	"mobilehpc/internal/metrics"
 	"mobilehpc/internal/obs"
-	"mobilehpc/internal/perf"
 	"mobilehpc/internal/sim"
 	"mobilehpc/internal/soc"
 	"mobilehpc/internal/stream"
-	"mobilehpc/internal/trend"
 )
-
-// benchExperiment regenerates a registered experiment each iteration.
-func benchExperiment(b *testing.B, id string) *harness.Table {
-	e, err := harness.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var tab *harness.Table
-	for i := 0; i < b.N; i++ {
-		tab = e.Run(harness.Options{Quick: true})
-	}
-	if err := tab.Render(io.Discard); err != nil {
-		b.Fatal(err)
-	}
-	return tab
-}
-
-func BenchmarkFig1Top500Share(b *testing.B) {
-	tab := benchExperiment(b, "fig1")
-	b.ReportMetric(float64(len(tab.Rows)), "years")
-}
-
-func BenchmarkFig2aVectorVsMicro(b *testing.B) {
-	benchExperiment(b, "fig2a")
-	gap := trend.GapAt(trend.FitExponential(trend.VectorMachines()),
-		trend.FitExponential(trend.Microprocessors()), 1995)
-	b.ReportMetric(gap, "gap1995_x")
-}
-
-func BenchmarkFig2bServerVsMobile(b *testing.B) {
-	benchExperiment(b, "fig2b")
-	gap := trend.GapAt(trend.FitExponential(trend.ServerProcessors()),
-		trend.FitExponential(trend.MobileSoCs()), 2013)
-	b.ReportMetric(gap, "gap2013_x")
-}
-
-func BenchmarkTable1Platforms(b *testing.B) {
-	benchExperiment(b, "table1")
-	b.ReportMetric(soc.Tegra2().PeakGFLOPSMax(), "tegra2_gflops")
-}
-
-func BenchmarkTable2Kernels(b *testing.B) {
-	tab := benchExperiment(b, "table2")
-	b.ReportMetric(float64(len(tab.Rows)), "kernels")
-}
-
-func BenchmarkFig3SingleCore(b *testing.B) {
-	benchExperiment(b, "fig3")
-	profs := kernels.Profiles()
-	base := perf.Suite(soc.Tegra2(), 1.0, profs, 1)
-	ex := perf.Suite(soc.Exynos5250(), 1.7, profs, 1)
-	b.ReportMetric(base.MeanTime/ex.MeanTime, "exynos_speedup")
-	b.ReportMetric(base.MeanEnergy, "tegra2_J_per_iter")
-}
-
-func BenchmarkFig4MultiCore(b *testing.B) {
-	benchExperiment(b, "fig4")
-	profs := kernels.Profiles()
-	s := perf.Suite(soc.Exynos5250(), 1.0, profs, 1)
-	m := perf.Suite(soc.Exynos5250(), 1.0, profs, 2)
-	b.ReportMetric(s.MeanEnergy/m.MeanEnergy, "exynos_energy_gain")
-}
-
-func BenchmarkFig5Stream(b *testing.B) {
-	benchExperiment(b, "fig5")
-	b.ReportMetric(stream.Bandwidth(soc.Exynos5250(), stream.Copy, true).GBs, "exynos_GBs")
-	b.ReportMetric(stream.Bandwidth(soc.Tegra2(), stream.Copy, true).Efficiency()*100, "tegra2_eff_pct")
-}
-
-func BenchmarkFig6Scalability(b *testing.B) {
-	tab := benchExperiment(b, "fig6")
-	b.ReportMetric(float64(len(tab.Rows)), "node_counts")
-}
-
-func BenchmarkFig7Interconnect(b *testing.B) {
-	benchExperiment(b, "fig7")
-	e := interconnect.Endpoint{Platform: soc.Tegra2(), FGHz: 1.0, Proto: interconnect.TCPIP()}
-	b.ReportMetric(interconnect.OneWayLatency(e, 0, 1.0)*1e6, "tegra2_tcp_us")
-	e.Proto = interconnect.OpenMX()
-	b.ReportMetric(interconnect.EffectiveBandwidth(e, 16<<20, 1.0), "tegra2_omx_MBs")
-}
-
-func BenchmarkTable4BytesPerFlops(b *testing.B) {
-	benchExperiment(b, "table4")
-	b.ReportMetric(metrics.BytesPerFlops(soc.Tegra2(), metrics.InfiniBand), "tegra2_ib")
-}
-
-func BenchmarkGreen500HPL(b *testing.B) {
-	// The full 96-node headline run, once per benchmark invocation
-	// (quick registry variant covered by BenchmarkFig6Scalability).
-	b.ReportAllocs()
-	var r hpl.Result
-	var mpw float64
-	for i := 0; i < b.N; i++ {
-		cl := cluster.Tibidabo(96)
-		n := int(8192 * math.Sqrt(96))
-		r = hpl.Run(cl, 96, hpl.Config{N: n, RealN: 64})
-		mpw = metrics.MFLOPSPerWatt(r.GFLOPS, cl.PowerW(2))
-	}
-	b.ReportMetric(r.GFLOPS, "GFLOPS")
-	b.ReportMetric(r.Efficiency*100, "hpl_eff_pct")
-	b.ReportMetric(mpw, "MFLOPS_per_W")
-}
-
-func BenchmarkLatencyPenalty(b *testing.B) {
-	benchExperiment(b, "latpenalty")
-	b.ReportMetric(metrics.LatencyPenaltyPct(100, 1.0), "snb_100us_pct")
-}
-
-// BenchmarkRunAllJobs regenerates the full quick registry serially and
-// on worker pools of increasing width. The j4/j1 ns/op ratio is the
-// harness speedup — on a 4-core host the pool clears 1.5x easily since
-// the registry is embarrassingly parallel; on fewer cores the ratio
-// degrades toward 1 but the output stays byte-identical (asserted by
-// TestRunAllParallelByteIdentical).
-func BenchmarkRunAllJobs(b *testing.B) {
-	for _, j := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "host_cores")
-			for i := 0; i < b.N; i++ {
-				if err := harness.RunAll(io.Discard, harness.Options{Quick: true, Jobs: j}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTelemetryOverhead measures what the PR-2 instrumentation
-// costs the full quick registry. "off" is the shipping default (no
-// collector installed: every instrumented site is one atomic load or
-// one nil check); "on" attaches a live collector plus the sim
-// observer and discards the exports. The off/BenchmarkRunAllJobs-j1
-// delta against the pre-instrumentation baseline recorded in
-// DESIGN.md is the <2% acceptance bound.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	runAll := func(b *testing.B) {
-		if err := harness.RunAll(io.Discard, harness.Options{Quick: true, Jobs: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("off", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runAll(b)
-		}
-	})
-	b.Run("on", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := obs.New()
-			obs.SetActive(c)
-			sim.SetDefaultObserver(obs.NewSimObserver(c))
-			runAll(b)
-			sim.SetDefaultObserver(nil)
-			obs.SetActive(nil)
-			if err := c.WriteChromeTrace(io.Discard); err != nil {
-				b.Fatal(err)
-			}
-			if err := c.WriteManifest(io.Discard); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 // BenchmarkPoolTaskLatency runs the full quick registry with a live
 // collector attached and reports the task-latency quantiles the
-// histogram plane records — the p50/p99 numbers bench-snapshot carries
-// into the committed perf trajectory. ns/op here is the instrumented
-// registry time; the custom metrics are the observability payload.
+// histogram plane records: the evidence for how finely the histograms
+// resolve a regression. ns/op here is the instrumented registry time;
+// the custom metrics are the observability payload.
 func BenchmarkPoolTaskLatency(b *testing.B) {
 	var p50, p99 float64
 	for i := 0; i < b.N; i++ {

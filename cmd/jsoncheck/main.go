@@ -15,10 +15,7 @@
 // one this toolchain knows (-schema lists them), and every embedded
 // histogram summary must satisfy the layout invariants — bucket bounds
 // strictly increasing, bucket counts positive, and the total count
-// equal to the sum of the buckets plus the overflow. Files declaring
-// mhpc-load-report/* are validated as mhpcload replay reports
-// (outcome buckets summing to sent, monotone latency quantiles —
-// loadreport.Validate has the full list).
+// equal to the sum of the buckets plus the overflow.
 //
 // With -counters, each file must additionally be a run manifest whose
 // "counters" object contains every named counter with a value > 0 —
@@ -41,7 +38,6 @@ import (
 	"strings"
 
 	"mobilehpc/internal/core"
-	"mobilehpc/internal/loadreport"
 	"mobilehpc/internal/obs"
 )
 
@@ -57,7 +53,6 @@ func main() {
 		for _, s := range obs.ManifestSchemas {
 			fmt.Println(s)
 		}
-		fmt.Println(loadreport.Schema)
 		return
 	}
 	if err := core.PositiveInt("max-bytes", *maxBytes); err != nil {
@@ -89,10 +84,6 @@ func main() {
 			os.Exit(1)
 		}
 		if err := checkManifest(data); err != nil {
-			fmt.Fprintf(os.Stderr, "jsoncheck: %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		if err := checkLoadReport(data); err != nil {
 			fmt.Fprintf(os.Stderr, "jsoncheck: %s: %v\n", path, err)
 			os.Exit(1)
 		}
@@ -159,30 +150,6 @@ func checkHistogram(h obs.ManifestHistogram) error {
 		return fmt.Errorf("count %d != bucket sum %d + overflow %d", h.Count, total-h.Overflow, h.Overflow)
 	}
 	return nil
-}
-
-// checkLoadReport validates documents that declare an
-// mhpc-load-report schema: the version must be known and the report
-// must satisfy the loadreport invariants. Documents without such a
-// schema pass untouched.
-func checkLoadReport(data []byte) error {
-	var head struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(data, &head); err != nil {
-		return nil // not an object-shaped document; plain validity already passed
-	}
-	if !strings.HasPrefix(head.Schema, "mhpc-load-report/") {
-		return nil
-	}
-	if head.Schema != loadreport.Schema {
-		return fmt.Errorf("unknown load-report schema %q (known: %s)", head.Schema, loadreport.Schema)
-	}
-	var rep loadreport.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("not a load report: %v", err)
-	}
-	return rep.Validate()
 }
 
 // checkCounters asserts every required counter exists with a positive

@@ -1,11 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"testing"
-
-	"mobilehpc/internal/loadreport"
-)
+import "testing"
 
 func TestCheckCounters(t *testing.T) {
 	manifest := []byte(`{"schema":"mhpc-run-manifest/v1","counters":{"faults.injected":7,"faults.node_fail":0}}`)
@@ -59,37 +54,6 @@ func TestCheckManifest(t *testing.T) {
 		err := checkManifest([]byte(c.doc))
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: err = %v, wantErr = %v", c.name, err, c.wantErr)
-		}
-	}
-}
-
-func TestCheckLoadReport(t *testing.T) {
-	valid := loadreport.Report{
-		Schema: loadreport.Schema, Target: "http://127.0.0.1:1",
-		Seed: 1, Keys: 4, ZipfS: 1.3, RateRPS: 50, Requests: 10,
-		Sent: 10, Completed: 10, ElapsedSeconds: 0.2, AchievedRPS: 50,
-		Latency: loadreport.Latency{P50Nanos: 1, P95Nanos: 2, P99Nanos: 3, MeanNanos: 1},
-	}
-	good, err := json.Marshal(&valid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkLoadReport(good); err != nil {
-		t.Errorf("valid report rejected: %v", err)
-	}
-
-	broken := valid
-	broken.Completed = 7 // buckets no longer sum to sent
-	bad, _ := json.Marshal(&broken)
-	if err := checkLoadReport(bad); err == nil {
-		t.Error("inconsistent report accepted")
-	}
-	if err := checkLoadReport([]byte(`{"schema":"mhpc-load-report/v99"}`)); err == nil {
-		t.Error("unknown load-report version accepted")
-	}
-	for _, doc := range []string{`{"traceEvents":[]}`, `[1,2]`, `{"schema":"mhpc-run-manifest/v1"}`} {
-		if err := checkLoadReport([]byte(doc)); err != nil {
-			t.Errorf("non-load-report %s rejected: %v", doc, err)
 		}
 	}
 }

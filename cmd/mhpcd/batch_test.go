@@ -9,9 +9,7 @@ package main
 import (
 	"context"
 	"errors"
-	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -73,36 +71,27 @@ func TestBatcherCoalescesConcurrentLoad(t *testing.T) {
 	want := map[int]string{}
 	plain := httptest.NewServer(mustServer(t, testConfig(echoRun)).handler())
 	for seed := 1; seed <= 5; seed++ {
-		code, res, body := postRun(t, plain, seededPath(seed))
-		if code != http.StatusOK {
-			t.Fatalf("unbatched seed %d: status %d (%s)", seed, code, body)
+		st := runJob(t, plain.URL, seededPath(seed))
+		if st.State != string(jobDone) {
+			t.Fatalf("unbatched seed %d: state %q (%s)", seed, st.State, st.Error)
 		}
-		want[seed] = res.Output
+		want[seed] = fetchResult(t, plain.URL, st.ResultKey).Output
 	}
 	plain.Close()
 
 	const n = 100
-	var wg sync.WaitGroup
-	errs := make(chan string, n)
-	for i := 0; i < n; i++ {
-		seed := i%5 + 1
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			code, res, body := postRun(t, ts, seededPath(seed))
-			if code != http.StatusOK {
-				errs <- strings.TrimSpace(body)
-				return
-			}
-			if res.Output != want[seed] {
-				errs <- "batched output diverged from unbatched for seed " + res.Output
-			}
-		}()
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = seededPath(i%5 + 1)
 	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
+	for i, st := range runJobs(t, ts.URL, paths) {
+		if st.State != string(jobDone) {
+			t.Errorf("%s: state %q (%s)", paths[i], st.State, st.Error)
+			continue
+		}
+		if res := fetchResult(t, ts.URL, st.ResultKey); res.Output != want[i%5+1] {
+			t.Errorf("batched output diverged from unbatched for %s: %q", paths[i], res.Output)
+		}
 	}
 
 	sweeps, keys := rec.counts()
@@ -112,10 +101,10 @@ func TestBatcherCoalescesConcurrentLoad(t *testing.T) {
 	if sweeps < 1 || sweeps > 5 {
 		t.Errorf("%d sweeps for 5 keys, want 1..5", sweeps)
 	}
-	if m := metric(t, ts, "serve.runs"); m != int64(sweeps) {
+	if m := metric(t, ts.URL, "mhpc_serve_runs_total"); m != int64(sweeps) {
 		t.Errorf("serve.runs = %d, want one per sweep (%d)", m, sweeps)
 	}
-	if m := metric(t, ts, "serve.batch_jobs"); m != 5 {
+	if m := metric(t, ts.URL, "mhpc_serve_batch_jobs_total"); m != 5 {
 		t.Errorf("serve.batch_jobs = %d, want 5", m)
 	}
 }
@@ -131,23 +120,11 @@ func TestBatchMaxFiresEarly(t *testing.T) {
 	ts := httptest.NewServer(mustServer(t, batchedConfig(rec, time.Hour, 2)).handler())
 	defer ts.Close()
 
-	var wg sync.WaitGroup
-	for seed := 1; seed <= 2; seed++ {
-		seed := seed
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if code, _, body := postRun(t, ts, seededPath(seed)); code != http.StatusOK {
-				t.Errorf("seed %d: status %d (%s)", seed, code, body)
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("full sweep never fired before the window")
+	// Both jobs must finish well inside runJobs' 10s wait.
+	for i, st := range runJobs(t, ts.URL, []string{seededPath(1), seededPath(2)}) {
+		if st.State != string(jobDone) {
+			t.Errorf("seed %d: state %q (%s)", i+1, st.State, st.Error)
+		}
 	}
 	if sweeps, keys := rec.counts(); sweeps != 1 || keys != 2 {
 		t.Errorf("sweeps=%d keys=%d, want one sweep of both keys", sweeps, keys)
@@ -166,18 +143,11 @@ func TestBatchFamiliesDoNotMerge(t *testing.T) {
 		"/run/table1?quick=1&csv=1&seed=1",
 		"/run/table1?quick=0&seed=1",
 	}
-	var wg sync.WaitGroup
-	for _, p := range paths {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if code, _, body := postRun(t, ts, p); code != http.StatusOK {
-				t.Errorf("%s: status %d (%s)", p, code, body)
-			}
-		}()
+	for i, st := range runJobs(t, ts.URL, paths) {
+		if st.State != string(jobDone) {
+			t.Errorf("%s: state %q (%s)", paths[i], st.State, st.Error)
+		}
 	}
-	wg.Wait()
 
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
@@ -360,34 +330,27 @@ func TestBatchedRealRegistryByteIdentity(t *testing.T) {
 	paths := []string{"/run/table1?quick=1", "/run/fig6?quick=1"}
 	want := map[string]string{}
 	for _, p := range paths {
-		code, res, body := postRun(t, plain, p)
-		if code != http.StatusOK {
-			t.Fatalf("unbatched %s: status %d (%s)", p, code, body)
+		st := runJob(t, plain.URL, p)
+		if st.State != string(jobDone) {
+			t.Fatalf("unbatched %s: state %q (%s)", p, st.State, st.Error)
 		}
-		want[p] = res.Output
+		want[p] = fetchResult(t, plain.URL, st.ResultKey).Output
 	}
 
-	var wg sync.WaitGroup
-	for _, p := range paths {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			code, res, body := postRun(t, ts, p)
-			if code != http.StatusOK {
-				t.Errorf("batched %s: status %d (%s)", p, code, body)
-				return
-			}
-			if res.Output != want[p] {
-				t.Errorf("batched %s diverged from unbatched output", p)
-			}
-		}()
+	for i, st := range runJobs(t, ts.URL, paths) {
+		p := paths[i]
+		if st.State != string(jobDone) {
+			t.Errorf("batched %s: state %q (%s)", p, st.State, st.Error)
+			continue
+		}
+		if res := fetchResult(t, ts.URL, st.ResultKey); res.Output != want[p] {
+			t.Errorf("batched %s diverged from unbatched output", p)
+		}
 	}
-	wg.Wait()
-	if m := metric(t, ts, "serve.batches"); m != 1 {
+	if m := metric(t, ts.URL, "mhpc_serve_batches_total"); m != 1 {
 		t.Errorf("serve.batches = %d, want 1 (both ids in one sweep)", m)
 	}
-	if m := metric(t, ts, "serve.runs"); m != 1 {
+	if m := metric(t, ts.URL, "mhpc_serve_runs_total"); m != 1 {
 		t.Errorf("serve.runs = %d, want 1 for the merged sweep", m)
 	}
 }

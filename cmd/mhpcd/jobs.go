@@ -1,19 +1,18 @@
 package main
 
 // The mhpcd job plane: asynchronous runs with streaming telemetry.
-// POST /run/{id} (without ?wait=1) registers a job and returns its id
-// immediately; the run executes on a server goroutine under the same
-// admission control, singleflight, and content-addressed cache as the
-// synchronous path. GET /job/{id} reports lifecycle state, GET
-// /job/{id}/events streams progress as server-sent events (telemetry
-// deltas from the live collector plus the final rendered table), and
-// DELETE /job/{id} cancels mid-run through the context -> AbortFlag
-// plumbing — the engines unwind at their next event, so cancellation
-// is bounded by event granularity, not experiment granularity.
+// POST /run/{id} registers a job and returns its id immediately; the
+// run executes on a server goroutine through the content-addressed
+// store, singleflight, and admission control. GET /job/{id} reports
+// lifecycle state, GET /job/{id}/events streams progress as
+// server-sent events (telemetry deltas from the live collector plus
+// the final rendered table), and DELETE /job/{id} cancels mid-run
+// through the context -> AbortFlag plumbing — the engines unwind at
+// their next event, so cancellation is bounded by event granularity,
+// not experiment granularity.
 //
 // Completed jobs resolve to the content-addressed result store: the
-// job's result_key is the same key POST ?wait=1 returns, served by
-// GET /result/{key}.
+// job's result_key is served by GET /result/{key}.
 //
 // SSE event schema ("mhpc-job-event/v1"): every event is
 //
@@ -184,8 +183,10 @@ func (j *job) terminal() bool {
 }
 
 // newJob registers a job for p under s.mu, pruning the oldest finished
-// jobs past the history bound. The job's context descends from baseCtx
-// so a server drain aborts it like any other run.
+// jobs past the history bound, and counts it in s.runs until
+// executeJob ends it. It returns nil once the server is draining. The
+// job's context descends from baseCtx so a server drain aborts it like
+// any other run.
 func (s *server) newJob(p runParams, key string) *job {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &job{
@@ -204,6 +205,12 @@ func (s *server) newJob(p runParams, key string) *job {
 		short = short[:8]
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining.Load() {
+		cancel()
+		return nil
+	}
+	s.runs.Add(1)
 	s.jobSeq++
 	j.id = fmt.Sprintf("j%d-%s", s.jobSeq, short)
 	for len(s.jobOrder) >= s.cfg.jobHistory {
@@ -222,7 +229,6 @@ func (s *server) newJob(p runParams, key string) *job {
 	}
 	s.jobs[j.id] = j
 	s.jobOrder = append(s.jobOrder, j.id)
-	s.mu.Unlock()
 	return j
 }
 
@@ -235,8 +241,10 @@ func (s *server) jobByID(id string) *job {
 
 // executeJob drives one asynchronous run to a terminal state: cache
 // hit, singleflight follower, or leader execution through admission
-// control — the same three outcomes as the synchronous path.
+// control. A rejected leader fails with errBusy, a run past -timeout
+// with context.DeadlineExceeded.
 func (s *server) executeJob(j *job) {
+	defer s.runs.Done()
 	defer close(j.done)
 	defer j.cancel()
 	j.setRunning()
@@ -262,7 +270,7 @@ func (s *server) executeJob(j *job) {
 		return
 	}
 	data, err := s.execute(j.ctx, j.params)
-	s.finish(j.key, j.params, c, data, err)
+	err = s.finish(j.key, j.params, c, data, err)
 	if err == nil {
 		if f, ok := s.takeResumeFrac(j.key); ok {
 			j.setResumedFrom(f)

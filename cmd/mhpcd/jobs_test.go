@@ -14,7 +14,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -24,32 +23,43 @@ import (
 	"mobilehpc/internal/sim"
 )
 
-// postJob submits an async run and returns the decoded 202 envelope.
-func postJob(t *testing.T, ts *httptest.Server, path string) jobStatus {
-	t.Helper()
-	resp, err := http.Post(ts.URL+path, "application/json", nil)
+// submitJob submits an async run and returns the decoded 202
+// envelope. It reports failure as an error, so it is safe to call from
+// any goroutine.
+func submitJob(base, path string) (jobStatus, error) {
+	var st jobStatus
+	resp, err := http.Post(base+path, "application/json", nil)
 	if err != nil {
-		t.Fatal(err)
+		return st, err
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST %s: %d (%s), want 202", path, resp.StatusCode, raw)
+		return st, fmt.Errorf("POST %s: %d (%s), want 202", path, resp.StatusCode, raw)
 	}
-	var st jobStatus
 	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatalf("bad job envelope %q: %v", raw, err)
+		return st, fmt.Errorf("bad job envelope %q: %v", raw, err)
 	}
 	if st.Job == "" || st.StatusURL != "/job/"+st.Job || st.EventsURL != "/job/"+st.Job+"/events" {
-		t.Fatalf("malformed job envelope: %+v", st)
+		return st, fmt.Errorf("malformed job envelope: %+v", st)
+	}
+	return st, nil
+}
+
+// postJob is submitJob on the test goroutine, failing the test on error.
+func postJob(t *testing.T, base, path string) jobStatus {
+	t.Helper()
+	st, err := submitJob(base, path)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return st
 }
 
 // getJob fetches one job's status.
-func getJob(t *testing.T, ts *httptest.Server, id string) jobStatus {
+func getJob(t *testing.T, base, id string) jobStatus {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/job/" + id)
+	resp, err := http.Get(base + "/job/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,20 +74,30 @@ func getJob(t *testing.T, ts *httptest.Server, id string) jobStatus {
 	return st
 }
 
-// waitJobState polls until the job reaches the wanted state.
-func waitJobState(t *testing.T, ts *httptest.Server, id, want string) jobStatus {
+// waitJob polls until the job reaches a terminal state.
+func waitJob(t *testing.T, base, id string) jobStatus {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st := getJob(t, ts, id)
-		if st.State == want {
+		st := getJob(t, base, id)
+		if st.State != string(jobPending) && st.State != string(jobRunning) {
 			return st
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %q, want %q", id, st.State, want)
+			t.Fatalf("job %s stuck in %q", id, st.State)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// waitJobState waits for the job to end and requires the wanted state.
+func waitJobState(t *testing.T, base, id, want string) jobStatus {
+	t.Helper()
+	st := waitJob(t, base, id)
+	if st.State != want {
+		t.Fatalf("job %s ended %q (%s), want %q", id, st.State, st.Error, want)
+	}
+	return st
 }
 
 // readSSE decodes the next event from an SSE stream.
@@ -122,13 +142,13 @@ func TestJobLifecycle(t *testing.T) {
 		}
 	}
 
-	st := postJob(t, ts, "/run/table1?quick=1&seed=5")
+	st := postJob(t, ts.URL, "/run/table1?quick=1&seed=5")
 	switch st.State {
 	case string(jobPending), string(jobRunning), string(jobDone):
 	default:
 		t.Fatalf("submit state %q", st.State)
 	}
-	done := waitJobState(t, ts, st.Job, string(jobDone))
+	done := waitJobState(t, ts.URL, st.Job, string(jobDone))
 	if done.ResultKey == "" {
 		t.Fatal("done job has no result_key")
 	}
@@ -146,8 +166,8 @@ func TestJobLifecycle(t *testing.T) {
 	}
 
 	// Resubmitting the identical request is a job-shaped cache hit.
-	st2 := postJob(t, ts, "/run/table1?quick=1&seed=5")
-	if got := waitJobState(t, ts, st2.Job, string(jobDone)); !got.Cached || got.ResultKey != done.ResultKey {
+	st2 := postJob(t, ts.URL, "/run/table1?quick=1&seed=5")
+	if got := waitJobState(t, ts.URL, st2.Job, string(jobDone)); !got.Cached || got.ResultKey != done.ResultKey {
 		t.Errorf("replay job: cached=%v key=%q, want cached hit on %q", got.Cached, got.ResultKey, done.ResultKey)
 	}
 }
@@ -167,7 +187,7 @@ func TestJobCancelFastAndClean(t *testing.T) {
 	http.DefaultClient.CloseIdleConnections()
 	baseline := runtime.NumGoroutine()
 
-	st := postJob(t, ts, "/run/fig6?quick=1")
+	st := postJob(t, ts.URL, "/run/fig6?quick=1")
 	<-started
 
 	t0 := time.Now()
@@ -184,7 +204,7 @@ func TestJobCancelFastAndClean(t *testing.T) {
 	if elapsed > 100*time.Millisecond {
 		t.Errorf("DELETE took %v, want < 100ms", elapsed)
 	}
-	final := waitJobState(t, ts, st.Job, string(jobCancelled))
+	final := waitJobState(t, ts.URL, st.Job, string(jobCancelled))
 	if final.Error == "" {
 		t.Error("cancelled job reports no error cause")
 	}
@@ -221,7 +241,7 @@ func TestJobEventsStream(t *testing.T) {
 	ts := httptest.NewServer(mustServer(t, cfg).handler())
 	defer ts.Close()
 
-	st := postJob(t, ts, "/run/fig6?quick=1")
+	st := postJob(t, ts.URL, "/run/fig6?quick=1")
 	<-started
 
 	if resp, err := http.Get(ts.URL + st.EventsURL + "?interval=bogus"); err != nil || resp.StatusCode != http.StatusBadRequest {
@@ -327,7 +347,7 @@ func TestSSEStreamDeterminism(t *testing.T) {
 		// fig6 drives real sim engines (MPI cluster sweep), so the
 		// sim.events.* counters and the pool/table instrumentation all
 		// light up.
-		st := postJob(t, ts, "/run/fig6?quick=1&seed=3")
+		st := postJob(t, ts.URL, "/run/fig6?quick=1&seed=3")
 		resp, err := http.Get(ts.URL + st.EventsURL + "?interval=" + interval)
 		if err != nil {
 			t.Fatal(err)
@@ -420,8 +440,8 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	s := mustServer(t, testConfig(echoRun))
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
-	postRun(t, ts, "/run/table1?quick=1")
-	postRun(t, ts, "/run/fig6?quick=1")
+	runJob(t, ts.URL, "/run/table1?quick=1")
+	runJob(t, ts.URL, "/run/fig6?quick=1")
 	// Deterministic histogram content, including the overflow bucket.
 	h := s.col.Histogram("serve.request_latency_ns")
 	for _, v := range []int64{500, 900, 4000, 1 << 20, 1 << 62} {
@@ -438,83 +458,14 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	}
 	raw, _ := io.ReadAll(resp.Body)
 
-	types := map[string]string{} // family -> counter|gauge|histogram
-	type bucket struct {
-		le  float64
-		cum int64
-	}
-	buckets := map[string][]bucket{}
-	values := map[string]int64{} // plain samples (incl. _sum/_count)
-	for _, line := range strings.Split(string(raw), "\n") {
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "# HELP ") {
-			continue
-		}
-		if strings.HasPrefix(line, "# TYPE ") {
-			f := strings.Fields(line)
-			if len(f) != 4 {
-				t.Fatalf("malformed TYPE line %q", line)
-			}
-			types[f[2]] = f[3]
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) != 2 {
-			t.Fatalf("malformed sample line %q", line)
-		}
-		name, label := f[0], ""
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			if !strings.HasSuffix(name, "}") {
-				t.Fatalf("malformed labels in %q", line)
-			}
-			name, label = name[:i], name[i+1:len(name)-1]
-		}
-		for i := 0; i < len(name); i++ {
-			c := name[i]
-			if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == ':') {
-				t.Fatalf("illegal metric name %q", name)
-			}
-		}
-		v, err := strconv.ParseInt(f[1], 10, 64)
-		if err != nil {
-			t.Fatalf("bad sample value in %q: %v", line, err)
-		}
-		// Resolve the family this sample belongs to.
-		switch {
-		case label != "":
-			fam := strings.TrimSuffix(name, "_bucket")
-			if fam == name || types[fam] != "histogram" {
-				t.Fatalf("labelled sample %q outside a histogram family", line)
-			}
-			le := strings.TrimSuffix(strings.TrimPrefix(label, `le="`), `"`)
-			b := bucket{cum: v}
-			if le == "+Inf" {
-				b.le = math.Inf(1)
-			} else if b.le, err = strconv.ParseFloat(le, 64); err != nil {
-				t.Fatalf("bad le in %q: %v", line, err)
-			}
-			buckets[fam] = append(buckets[fam], b)
-		default:
-			fam := name
-			for _, suf := range []string{"_sum", "_count"} {
-				if base := strings.TrimSuffix(name, suf); base != name && types[base] == "histogram" {
-					fam = base
-				}
-			}
-			if _, ok := types[fam]; !ok {
-				t.Fatalf("sample %q has no TYPE declaration", line)
-			}
-			values[name] = v
-		}
-	}
+	e := parseExposition(t, raw)
+	buckets, values := e.buckets, e.values
 
 	if len(buckets) == 0 {
 		t.Fatal("no _bucket-bearing family in the exposition")
 	}
 	if _, ok := buckets["mhpc_serve_request_latency_ns"]; !ok {
-		t.Errorf("request latency histogram missing (families: %v)", types)
+		t.Errorf("request latency histogram missing (families: %v)", e.types)
 	}
 	for fam, bs := range buckets {
 		for i := 1; i < len(bs); i++ {

@@ -13,8 +13,7 @@
 //	GET    /experiments      list experiment ids, titles, paper artefacts
 //	POST   /run/{id}         submit one experiment as an async job (202 +
 //	                         job envelope); options quick/csv/seed as
-//	                         query parameters or a JSON body; ?wait=1
-//	                         blocks and answers with the result instead
+//	                         query parameters or a JSON body
 //	GET    /job/{job}        job lifecycle state; done jobs carry the
 //	                         result_key into /result/{key}
 //	GET    /job/{job}/events SSE progress stream (mhpc-job-event/v1):
@@ -24,8 +23,7 @@
 //	GET    /result/{key}     re-fetch a cached result by its content key
 //	GET    /healthz          "ok", or 503 once draining
 //	GET    /metrics          Prometheus text exposition (histograms
-//	                         included); ?format=plain for the legacy
-//	                         sorted "name value" lines
+//	                         included)
 //
 // Results are content-addressed: the response key is a hash of
 // (id, seed, quick, csv), identical requests hit the result store,
@@ -33,10 +31,12 @@
 // The seed never changes the simulation (runs are deterministic); it
 // is a replica salt for clients that want to force a fresh execution.
 // The store (internal/store) holds up to -store-bytes of results
-// under strict-LRU eviction; with -store-dir it is disk-backed —
-// results survive a restart on the same directory, recovered through
-// a crash-safe journal, so a restarted server serves previously
-// computed keys without re-executing them.
+// under strict-LRU eviction and is the only place a client reads
+// output from, so a result larger than the whole budget fails its
+// job. With -store-dir it is disk-backed — results survive a restart
+// on the same directory, recovered through a crash-safe journal, so a
+// restarted server serves previously computed keys without
+// re-executing them.
 //
 // With -batch-window > 0, run submissions that arrive within one
 // window and share an experiment family (quick/csv options) are
@@ -47,12 +47,14 @@
 // have joined.
 //
 // Admission is bounded: -concurrency runs execute at once, -queue more
-// may wait, and anything beyond that is rejected with 429 immediately.
-// Each run is cancelled at the earliest of client disconnect, the
-// -timeout bound (504), or shutdown. On SIGINT/SIGTERM the server
-// stops accepting work (healthz turns 503), lets in-flight runs finish
-// for up to -drain, then aborts the stragglers mid-simulation via the
-// harness cancellation path, and exits 0.
+// may wait, and a job beyond that fails immediately ("at capacity").
+// Each run is cancelled at the earliest of DELETE /job/{job}, the
+// -timeout bound (the job fails with a deadline error), or shutdown.
+// On SIGINT/SIGTERM the server stops accepting work (healthz turns
+// 503), lets submitted jobs, open requests and event streams finish
+// for up to -drain — a job that finishes in time stores its result —
+// then aborts the stragglers mid-simulation via the harness
+// cancellation path, and exits 0.
 package main
 
 import (
@@ -89,7 +91,7 @@ func serve(args []string) error {
 	queue := fs.Int("queue", 8, "additional runs allowed to wait for a slot (0 = reject when busy)")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-run wall clock bound")
 	storeDir := fs.String("store-dir", "", "result-store directory (empty = in-memory only; results then die with the process)")
-	storeBytes := fs.Int64("store-bytes", 256<<20, "result-store byte budget, strict-LRU evicted (0 disables caching)")
+	storeBytes := fs.Int64("store-bytes", 256<<20, "result-store byte budget, strict-LRU evicted; every result is served from the store, so a result larger than this fails its job")
 	batchWindow := fs.Duration("batch-window", 0, "coalesce runs arriving within this window into one sweep (0 disables batching)")
 	batchMax := fs.Int("batch-max", 32, "distinct keys merged into one sweep before it fires early")
 	jobHistory := fs.Int("job-history", 256, "finished job records kept for /job lookups")
@@ -104,7 +106,7 @@ func serve(args []string) error {
 	if err := core.FirstError(
 		core.PositiveInt("concurrency", *concurrency),
 		core.NonNegativeInt("queue", *queue),
-		core.NonNegativeInt("store-bytes", int(*storeBytes)),
+		core.PositiveInt("store-bytes", int(*storeBytes)),
 		core.PositiveInt("batch-max", *batchMax),
 		core.PositiveInt("job-history", *jobHistory),
 		core.PositiveFloat("timeout", timeout.Seconds()),
@@ -158,19 +160,27 @@ func serve(args []string) error {
 	}
 	stop() // a second signal kills the process the default way
 
-	// Graceful drain: refuse new work, give in-flight runs the grace
-	// period, then abort stragglers mid-simulation and close.
+	// Graceful drain: refuse new work, give open requests and every
+	// submitted job the grace period (a finishing job still writes its
+	// result to the store), then abort stragglers mid-simulation, wait
+	// for them to unwind, and close.
 	fmt.Fprintln(os.Stderr, "mhpcd: draining...")
 	s.beginDrain()
 	shCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	if err := srv.Shutdown(shCtx); err != nil {
+	err = srv.Shutdown(shCtx)
+	if err == nil {
+		err = s.waitRuns(shCtx)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mhpcd: drain grace expired, aborting stragglers")
 		s.abortRuns()
 		forceCtx, forceCancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer forceCancel()
 		if err := srv.Shutdown(forceCtx); err != nil {
 			srv.Close()
 		}
+		s.waitRuns(forceCtx)
 	}
 	fmt.Fprintln(os.Stderr, "mhpcd: drained, bye")
 	return nil

@@ -62,12 +62,12 @@ func TestJobResume(t *testing.T) {
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	st := postJob(t, ts, "/run/fig6?quick=1")
-	failed := waitJobState(t, ts, st.Job, string(jobFailed))
+	st := postJob(t, ts.URL, "/run/fig6?quick=1")
+	failed := waitJobState(t, ts.URL, st.Job, string(jobFailed))
 	if failed.Error == "" || failed.ResumedFrom != 0 {
 		t.Fatalf("failed attempt: %+v, want an error and no resumed_from", failed)
 	}
-	if got := metric(t, ts, "serve.resumes"); got != 0 {
+	if got := metric(t, ts.URL, "mhpc_serve_resumes_total"); got != 0 {
 		t.Fatalf("serve.resumes = %d after first attempt, want 0", got)
 	}
 	s.mu.Lock()
@@ -77,18 +77,17 @@ func TestJobResume(t *testing.T) {
 		t.Fatalf("open ledgers after failure = %d, want 1 (kept for resume)", nled)
 	}
 
-	st2 := postJob(t, ts, "/run/fig6?quick=1")
-	done := waitJobState(t, ts, st2.Job, string(jobDone))
+	st2 := postJob(t, ts.URL, "/run/fig6?quick=1")
+	done := waitJobState(t, ts.URL, st2.Job, string(jobDone))
 	// One of the two sub-runs was restored, one executed: 1/(1+1).
 	if done.ResumedFrom != 0.5 {
 		t.Errorf("resumed_from = %v, want 0.5", done.ResumedFrom)
 	}
-	if got := metric(t, ts, "serve.resumes"); got != 1 {
+	if got := metric(t, ts.URL, "mhpc_serve_resumes_total"); got != 1 {
 		t.Errorf("serve.resumes = %d, want 1", got)
 	}
-	code, res, _ := postRun(t, ts, "/run/fig6?quick=1")
-	if code != http.StatusOK || res.Output != "rows-a|rows-b" {
-		t.Errorf("resumed output = %d %q, want the uninterrupted bytes", code, res.Output)
+	if res := fetchResult(t, ts.URL, done.ResultKey); res.Output != "rows-a|rows-b" {
+		t.Errorf("resumed output = %q, want the uninterrupted bytes", res.Output)
 	}
 	s.mu.Lock()
 	nled, nfrac := len(s.ledgers), len(s.resumeFrac)
@@ -114,21 +113,24 @@ func TestResumeLedgerOnDisk(t *testing.T) {
 	key := runParams{ID: "fig6", Quick: true}.key()
 	path := filepath.Join(dir, "partials", key+".ckpt")
 
-	if code, _, body := postRun(t, ts, "/run/fig6?quick=1"); code != http.StatusInternalServerError {
-		t.Fatalf("first attempt: %d (%s), want the injected failure", code, body)
+	if st := runJob(t, ts.URL, "/run/fig6?quick=1"); st.State != string(jobFailed) || st.Error != "injected mid-run crash" {
+		t.Fatalf("first attempt: state %q error %q, want the injected failure", st.State, st.Error)
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("no ledger file after failed attempt: %v", err)
 	}
 
-	code, res, _ := postRun(t, ts, "/run/fig6?quick=1")
-	if code != http.StatusOK || res.Output != "rows-a|rows-b" {
-		t.Fatalf("resume attempt: %d %q", code, res.Output)
+	st := runJob(t, ts.URL, "/run/fig6?quick=1")
+	if st.State != string(jobDone) {
+		t.Fatalf("resume attempt: state %q (%s)", st.State, st.Error)
+	}
+	if res := fetchResult(t, ts.URL, st.ResultKey); res.Output != "rows-a|rows-b" {
+		t.Fatalf("resume attempt output %q", res.Output)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("ledger file survived success: %v", err)
 	}
-	if got := metric(t, ts, "serve.resumes"); got != 1 {
+	if got := metric(t, ts.URL, "mhpc_serve_resumes_total"); got != 1 {
 		t.Errorf("serve.resumes = %d, want 1", got)
 	}
 }
@@ -168,31 +170,31 @@ func TestJobCancelTerminalNoCount(t *testing.T) {
 	}
 
 	// A job that finishes cleanly: DELETE must be a read, not a cancel.
-	doneJob := postJob(t, ts, "/run/table1?quick=1")
-	waitJobState(t, ts, doneJob.Job, string(jobDone))
+	doneJob := postJob(t, ts.URL, "/run/table1?quick=1")
+	waitJobState(t, ts.URL, doneJob.Job, string(jobDone))
 	for i := 0; i < 3; i++ {
 		code, st := del(doneJob.Job)
 		if code != http.StatusOK || st.State != string(jobDone) {
 			t.Fatalf("DELETE terminal job: %d %q, want 200 done", code, st.State)
 		}
 	}
-	if got := metric(t, ts, "serve.jobs_cancelled"); got != 0 {
+	if got := metric(t, ts.URL, "mhpc_serve_jobs_cancelled_total"); got != 0 {
 		t.Fatalf("serve.jobs_cancelled = %d after deleting a done job, want 0", got)
 	}
 
 	// A live job: the first DELETE cancels and counts; repeats don't.
-	live := postJob(t, ts, "/run/fig6?quick=1")
+	live := postJob(t, ts.URL, "/run/fig6?quick=1")
 	<-started
 	if code, _ := del(live.Job); code != http.StatusOK {
 		t.Fatalf("DELETE live job: %d", code)
 	}
-	waitJobState(t, ts, live.Job, string(jobCancelled))
+	waitJobState(t, ts.URL, live.Job, string(jobCancelled))
 	for i := 0; i < 2; i++ {
 		if code, st := del(live.Job); code != http.StatusOK || st.State != string(jobCancelled) {
 			t.Fatalf("re-DELETE cancelled job: %d %q", code, st.State)
 		}
 	}
-	if got := metric(t, ts, "serve.jobs_cancelled"); got != 1 {
+	if got := metric(t, ts.URL, "mhpc_serve_jobs_cancelled_total"); got != 1 {
 		t.Errorf("serve.jobs_cancelled = %d, want exactly 1", got)
 	}
 }

@@ -3,11 +3,15 @@ package main
 // The coalescing payoff, measured: a cache-cold zipf request mix over
 // real quick experiments, served unbatched (every leader its own
 // harness execution) versus through a 10ms window (leaders merged
-// into family sweeps). The req/s custom metric is the headline the
-// BENCH snapshot records; the acceptance bar for the serving tier is
+// into family sweeps). Each request is an async job followed to its
+// SSE done event, the path every client takes. The req/s custom
+// metric is the headline; the acceptance bar for the serving tier is
 // batched >= 2x unbatched on this mix.
 
 import (
+	"bufio"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -18,7 +22,7 @@ import (
 )
 
 // benchServeZipf runs b.N rounds of the fixed mix: 32 concurrent
-// wait=1 requests drawn Zipf(1.3) over 16 content keys (2 quick
+// requests drawn Zipf(1.3) over 16 content keys (2 quick
 // experiment ids x 8 seed salts) against a fresh — cache-cold —
 // server per round. Seed salts give distinct content keys over the
 // same simulations, the replica-cache shape the sweep collapses: the
@@ -58,15 +62,8 @@ func benchServeZipf(b *testing.B, window time.Duration) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				url := ts.URL + "/run/" + p.ID + "?wait=1&quick=1&seed=" + strconv.FormatUint(p.Seed, 10)
-				resp, err := http.Post(url, "application/json", nil)
-				if err != nil {
+				if err := awaitJob(ts.URL, "/run/"+p.ID+"?quick=1&seed="+strconv.FormatUint(p.Seed, 10)); err != nil {
 					b.Error(err)
-					return
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					b.Errorf("%s: status %d", url, resp.StatusCode)
 				}
 			}()
 		}
@@ -78,6 +75,39 @@ func benchServeZipf(b *testing.B, window time.Duration) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(requests*b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// awaitJob submits base+path as a job and reads its event stream up
+// to the done event, which must report the job done.
+func awaitJob(base, path string) error {
+	resp, err := http.Post(base+path, "application/json", nil)
+	if err != nil {
+		return err
+	}
+	var st jobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || err != nil {
+		return fmt.Errorf("POST %s: status %d (%v)", path, resp.StatusCode, err)
+	}
+	resp, err = http.Get(base + st.EventsURL + "?interval=1m")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	for {
+		typ, ev, err := readSSE(br)
+		if err != nil {
+			return fmt.Errorf("%s: %v", path, err)
+		}
+		if typ == "done" {
+			if ev.Status == nil || ev.Status.State != string(jobDone) {
+				return fmt.Errorf("%s: job ended %+v", path, ev.Status)
+			}
+			return nil
+		}
+	}
 }
 
 func BenchmarkServeZipfCold(b *testing.B) {

@@ -10,13 +10,14 @@ package main
 // computed before a SIGTERM is a cache hit after the process comes
 // back (TestStoreSmoke proves zero re-executions). With
 // -batch-window set, leaders are further coalesced into batched
-// sweeps (see batch.go). Admission is bounded: -concurrency
-// runs/sweeps execute at once, -queue more may wait, and everything
-// past that is rejected with 429 instead of piling up goroutines.
-// Cancellation rides the abort plumbing: each run gets a context
-// bounded by the request, the per-run timeout, and the server's
-// drain deadline, and harness.TablesContext unwinds the simulation
-// engines mid-event when any of them fires.
+// sweeps (see batch.go). Every request is an asynchronous job
+// (jobs.go). Admission is bounded: -concurrency runs/sweeps execute
+// at once, -queue more may wait, and a job past that fails at once
+// with errBusy instead of piling up goroutines. Cancellation rides
+// the abort plumbing: each run gets a context bounded by its job
+// (DELETE /job/{id}), the per-run timeout, and the server's drain
+// deadline, and harness.TablesContext unwinds the simulation engines
+// mid-event when any of them fires.
 
 import (
 	"bytes"
@@ -28,7 +29,6 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -64,21 +64,21 @@ func (p runParams) key() string {
 	return hex.EncodeToString(h[:16])
 }
 
-// runResult is the JSON envelope every result endpoint returns.
+// runResult is the JSON envelope the store keeps per key and GET
+// /result/{key} returns.
 type runResult struct {
-	Key       string `json:"key"`
-	ID        string `json:"id"`
-	Seed      uint64 `json:"seed"`
-	Cached    bool   `json:"cached"`
-	Coalesced bool   `json:"coalesced,omitempty"`
-	Output    string `json:"output"`
+	Key    string `json:"key"`
+	ID     string `json:"id"`
+	Seed   uint64 `json:"seed"`
+	Cached bool   `json:"cached"`
+	Output string `json:"output"`
 }
 
 // call is one in-flight singleflight execution: followers block on
-// done and then read data/err exactly as the leader published them.
+// done and then read the leader's err; on success the bytes are in
+// the store.
 type call struct {
 	done chan struct{}
-	data []byte
 	err  error
 }
 
@@ -89,7 +89,7 @@ type serverConfig struct {
 	concurrency int           // runs/sweeps executing at once
 	queue       int           // additional runs allowed to wait
 	timeout     time.Duration // per-run wall clock bound
-	cacheBytes  int64         // result-store byte budget; 0 disables caching
+	cacheBytes  int64         // result-store byte budget; must be positive
 	storeDir    string        // result-store directory; "" = memory-only
 	jobHistory  int           // job records kept (FIFO over finished jobs); 0 = default
 	batchWindow time.Duration // coalescing window; 0 disables batching
@@ -109,6 +109,11 @@ type server struct {
 	sem      chan struct{} // concurrency slots
 	waiting  chan struct{} // admission: concurrency + queue tokens
 	draining atomic.Bool
+
+	// runs counts submitted jobs that have not reached a terminal
+	// state; the drain waits on it. Adds happen under mu and only
+	// while not draining, so none can race the drain's Wait.
+	runs sync.WaitGroup
 
 	// baseCtx is cancelled when the drain deadline expires: it aborts
 	// runs that outlive a graceful shutdown.
@@ -134,6 +139,9 @@ type server struct {
 // recovering) the result store; nil cfg.runFn/sweepFn get the real
 // registry runner and sweep executor.
 func newServer(cfg serverConfig) (*server, error) {
+	if cfg.cacheBytes <= 0 {
+		return nil, fmt.Errorf("mhpcd: result-store budget %d: want a positive byte count (every result is served from the store)", cfg.cacheBytes)
+	}
 	if cfg.jobHistory <= 0 {
 		cfg.jobHistory = 256
 	}
@@ -197,13 +205,18 @@ func (s *server) cachePeek(key string) (runResult, bool) {
 	return res, true
 }
 
-// cachePut writes one finished run through to the result store.
-func (s *server) cachePut(key string, p runParams, data []byte) {
+// cachePut writes one finished run through to the result store. The
+// store is the only way output reaches a client, so a result it would
+// drop (larger than the whole budget) or fail to write is an error.
+func (s *server) cachePut(key string, p runParams, data []byte) error {
 	env, err := json.Marshal(runResult{Key: key, ID: p.ID, Seed: p.Seed, Output: string(data)})
 	if err != nil {
-		return
+		return err
 	}
-	s.store.Put(key, env)
+	if int64(len(env)) > s.cfg.cacheBytes {
+		return fmt.Errorf("mhpcd: %d-byte result exceeds the %d-byte result-store budget", len(env), s.cfg.cacheBytes)
+	}
+	return s.store.Put(key, env)
 }
 
 // execute runs one admitted leader: through the batch coalescer when
@@ -275,8 +288,29 @@ func (s *server) counter(name string) *obs.Counter { return s.col.Counter(name) 
 
 // beginDrain flips the server into shutdown mode: healthz reports 503
 // (load balancers stop sending) and new runs are refused while
-// already-admitted ones finish.
-func (s *server) beginDrain() { s.draining.Store(true) }
+// already-submitted ones finish. Taking mu orders the flip against
+// newJob, so after beginDrain returns no job can join s.runs.
+func (s *server) beginDrain() {
+	s.mu.Lock()
+	s.draining.Store(true)
+	s.mu.Unlock()
+}
+
+// waitRuns blocks until every submitted job has reached a terminal
+// state, or ctx ends first.
+func (s *server) waitRuns(ctx context.Context) error {
+	done := make(chan struct{})
+	go func() {
+		s.runs.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
 
 func (s *server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	s.counter("serve.requests").Add(1)
@@ -302,30 +336,10 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the collector in Prometheus text exposition
 // format (counters as _total, gauges as level + _max, histograms as
-// cumulative _bucket/_sum/_count families). ?format=plain keeps the
-// original sorted "name value" lines for pre-existing scrapers.
+// cumulative _bucket/_sum/_count families).
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	switch f := r.URL.Query().Get("format"); f {
-	case "", "prometheus":
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.col.WritePrometheus(w)
-	case "plain":
-		vals := s.col.Counters()
-		for k, v := range s.col.Gauges() {
-			vals[k] = v
-		}
-		names := make([]string, 0, len(vals))
-		for k := range vals {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, k := range names {
-			fmt.Fprintf(w, "%s %d\n", k, vals[k])
-		}
-	default:
-		http.Error(w, fmt.Sprintf("unknown format=%q: want prometheus or plain", f), http.StatusBadRequest)
-	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.col.WritePrometheus(w)
 }
 
 func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -341,72 +355,30 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// handleRun serves POST /run/{id}. The default is asynchronous: the
-// run is registered as a job and a 202 with the job envelope (status
-// and events URLs) returns immediately. ?wait=1 selects the original
-// synchronous path — block through cache/singleflight/admission and
-// answer with the result envelope.
+// handleRun serves POST /run/{id}: the run is registered as a job and
+// a 202 with the job envelope (status and events URLs) returns
+// immediately. The job resolves through the store, singleflight and
+// admission control in executeJob.
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.counter("serve.requests").Add(1)
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
 	id := r.PathValue("id")
 	if _, err := harness.ByID(id); err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
-	}
-	wait := false
-	if v := r.URL.Query().Get("wait"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("invalid wait=%q: want a boolean", v), http.StatusBadRequest)
-			return
-		}
-		wait = b
 	}
 	p, err := parseRunParams(id, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	key := p.key()
-
-	if !wait {
-		j := s.newJob(p, key)
-		s.counter("serve.jobs").Add(1)
-		go s.executeJob(j)
-		writeJSON(w, http.StatusAccepted, j.status())
+	j := s.newJob(p, p.key())
+	if j == nil {
+		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-
-	s.mu.Lock()
-	if res, ok := s.cacheGet(key); ok {
-		s.mu.Unlock()
-		s.counter("serve.cache_hits").Add(1)
-		res.Cached = true
-		writeJSON(w, http.StatusOK, res)
-		return
-	}
-	c, leader := s.joinLocked(key)
-	s.mu.Unlock()
-
-	if !leader {
-		s.counter("serve.singleflight_hits").Add(1)
-		select {
-		case <-c.done:
-		case <-r.Context().Done():
-			http.Error(w, "client went away while coalesced", http.StatusServiceUnavailable)
-			return
-		}
-		s.respondRun(w, p, key, c.data, c.err, true)
-		return
-	}
-
-	data, runErr := s.execute(r.Context(), p)
-	s.finish(key, p, c, data, runErr)
-	s.respondRun(w, p, key, data, runErr, false)
+	s.counter("serve.jobs").Add(1)
+	go s.executeJob(j)
+	writeJSON(w, http.StatusAccepted, j.status())
 }
 
 // joinLocked registers interest in key's execution. The first caller
@@ -423,9 +395,9 @@ func (s *server) joinLocked(key string) (c *call, leader bool) {
 
 // admitted pushes one execution — a solo run or a whole batched
 // sweep — through admission control and runs fn. The execution's
-// context is bounded three ways: the caller's context (client
-// hang-up, or every batch waiter gone), the per-run timeout, and the
-// server's baseCtx (drain deadline expired).
+// context is bounded three ways: the caller's context (job
+// cancelled, or every batch waiter gone), the per-run timeout, and
+// the server's baseCtx (drain deadline expired).
 func (s *server) admitted(ctx context.Context, fn func(ctx context.Context) error) error {
 	select {
 	case s.waiting <- struct{}{}:
@@ -541,40 +513,21 @@ func (s *server) takeResumeFrac(key string) (float64, bool) {
 	return f, ok
 }
 
-// finish publishes the leader's outcome to followers, writes a
-// success through to the result store, and retires the flight entry.
-// Store-put and flight-retire happen under one critical section so a
-// concurrent request always sees the result in at least one of them.
-func (s *server) finish(key string, p runParams, c *call, data []byte, err error) {
+// finish writes a success through to the result store, publishes the
+// outcome to followers, retires the flight entry, and returns the
+// outcome: a result the store cannot keep fails the run. Store-put and
+// flight-retire happen under one critical section so a concurrent
+// request always sees the result in at least one of them.
+func (s *server) finish(key string, p runParams, c *call, data []byte, err error) error {
 	s.mu.Lock()
 	if err == nil {
-		s.cachePut(key, p, data)
+		err = s.cachePut(key, p, data)
 	}
 	delete(s.flight, key)
 	s.mu.Unlock()
-	c.data, c.err = data, err
+	c.err = err
 	close(c.done)
-}
-
-// respondRun maps a run outcome onto HTTP: 200 with the JSON envelope
-// on success; 429 at capacity, 504 on per-run timeout, 503 when the
-// run died to a drain or client hang-up, 500 otherwise.
-func (s *server) respondRun(w http.ResponseWriter, p runParams, key string, data []byte, err error, coalesced bool) {
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, runResult{
-			Key: key, ID: p.ID, Seed: p.Seed, Coalesced: coalesced, Output: string(data),
-		})
-	case errors.Is(err, errBusy):
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-	case errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, "run exceeded the per-request timeout", http.StatusGatewayTimeout)
-	case errors.Is(err, context.Canceled):
-		http.Error(w, "run aborted (shutdown or client hang-up)", http.StatusServiceUnavailable)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	return err
 }
 
 // parseRunParams decodes the run options: an optional JSON body

@@ -9,134 +9,63 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
-	"syscall"
 	"testing"
-	"time"
 )
-
-// smokeMetric reads one plain-format /metrics value from a live
-// binary (0 when absent).
-func smokeMetric(t *testing.T, base, name string) int64 {
-	t.Helper()
-	resp, err := http.Get(base + "/metrics?format=plain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	for _, line := range strings.Split(string(raw), "\n") {
-		var k string
-		var v int64
-		if _, err := fmt.Sscanf(line, "%s %d", &k, &v); err == nil && k == name {
-			return v
-		}
-	}
-	return 0
-}
 
 func TestStoreSmoke(t *testing.T) {
 	if os.Getenv("MHPC_STORE_SMOKE") != "1" {
 		t.Skip("set MHPC_STORE_SMOKE=1 to run the mhpcd restart-survival smoke test")
 	}
-
-	bin := filepath.Join(t.TempDir(), "mhpcd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building mhpcd: %v\n%s", err, out)
-	}
+	bin := buildMhpcd(t)
 	storeDir := filepath.Join(t.TempDir(), "results")
-
-	start := func() (*exec.Cmd, string, chan error) {
-		port := freePort(t)
-		base := fmt.Sprintf("http://127.0.0.1:%d", port)
-		cmd := exec.Command(bin,
-			"-addr", fmt.Sprintf("127.0.0.1:%d", port),
-			"-j", "2", "-concurrency", "2", "-queue", "4",
+	start := func() *daemon {
+		return startMhpcd(t, bin, "-j", "2", "-concurrency", "2", "-queue", "4",
 			"-store-dir", storeDir, "-timeout", "5m", "-drain", "2s")
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		exited := make(chan error, 1)
-		go func() { exited <- cmd.Wait() }()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			resp, err := http.Get(base + "/healthz")
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					break
-				}
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("mhpcd never became healthy")
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		return cmd, base, exited
-	}
-	stop := func(cmd *exec.Cmd, exited chan error) {
-		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case err := <-exited:
-			if err != nil {
-				t.Fatalf("mhpcd exited non-zero after SIGTERM: %v", err)
-			}
-		case <-time.After(15 * time.Second):
-			cmd.Process.Kill()
-			t.Fatal("mhpcd did not exit within 15s of SIGTERM")
-		}
 	}
 
 	// Phase 1: populate three distinct keys (seed is the replica salt).
 	const n = 3
-	cmd, base, exited := start()
-	defer cmd.Process.Kill()
+	d := start()
 	keys := make([]string, 0, n)
 	outputs := map[string]string{}
 	for seed := 1; seed <= n; seed++ {
-		res := postJSON(t, fmt.Sprintf("%s/run/table1?quick=1&seed=%d&wait=1", base, seed))
-		if res.Cached {
-			t.Fatalf("seed %d: fresh key reported cached", seed)
+		st := runJob(t, d.base, fmt.Sprintf("/run/table1?quick=1&seed=%d", seed))
+		if st.State != string(jobDone) || st.Cached {
+			t.Fatalf("seed %d: state %q cached %v (%s), want a fresh done run", seed, st.State, st.Cached, st.Error)
 		}
-		keys = append(keys, res.Key)
-		outputs[res.Key] = res.Output
+		keys = append(keys, st.ResultKey)
+		outputs[st.ResultKey] = fetchResult(t, d.base, st.ResultKey).Output
 	}
-	if m := smokeMetric(t, base, "serve.runs"); m != n {
+	if m := metric(t, d.base, "mhpc_serve_runs_total"); m != n {
 		t.Errorf("first life: serve.runs = %d, want %d", m, n)
 	}
-	if m := smokeMetric(t, base, "store.entries"); m != n {
+	if m := metric(t, d.base, "mhpc_store_entries"); m != n {
 		t.Errorf("first life: store.entries = %d, want %d", m, n)
 	}
-	stop(cmd, exited)
+	d.stop(t)
 
 	// Phase 2: a fresh process on the same directory serves every key
 	// from the recovered store without re-executing anything.
-	cmd2, base2, exited2 := start()
-	defer cmd2.Process.Kill()
-	if m := smokeMetric(t, base2, "store.recovered"); m != n {
+	d2 := start()
+	base2 := d2.base
+	if m := metric(t, base2, "mhpc_store_recovered_total"); m != n {
 		t.Errorf("restart: store.recovered = %d, want %d", m, n)
 	}
-	if m := smokeMetric(t, base2, "store.entries"); m != n {
+	if m := metric(t, base2, "mhpc_store_entries"); m != n {
 		t.Errorf("restart: store.entries = %d, want %d", m, n)
 	}
-	if m := smokeMetric(t, base2, "store.bytes"); m <= 0 {
+	if m := metric(t, base2, "mhpc_store_bytes"); m <= 0 {
 		t.Errorf("restart: store.bytes = %d, want > 0", m)
 	}
 	for seed := 1; seed <= n; seed++ {
-		res := postJSON(t, fmt.Sprintf("%s/run/table1?quick=1&seed=%d&wait=1", base2, seed))
-		if !res.Cached {
-			t.Errorf("seed %d: restarted server re-executed instead of hitting the store", seed)
+		st := runJob(t, base2, fmt.Sprintf("/run/table1?quick=1&seed=%d", seed))
+		if st.State != string(jobDone) || !st.Cached {
+			t.Errorf("seed %d: restarted server re-executed (state %q cached %v) instead of hitting the store", seed, st.State, st.Cached)
 		}
-		if want := outputs[res.Key]; res.Output != want {
+		if want, ok := outputs[st.ResultKey]; !ok || fetchResult(t, base2, st.ResultKey).Output != want {
 			t.Errorf("seed %d: recovered output diverged from the original run", seed)
 		}
 	}
@@ -153,11 +82,11 @@ func TestStoreSmoke(t *testing.T) {
 	}
 	// The zero-re-execution proof: serve.runs counts harness
 	// executions in *this* process, and nothing above incremented it.
-	if m := smokeMetric(t, base2, "serve.runs"); m != 0 {
+	if m := metric(t, base2, "mhpc_serve_runs_total"); m != 0 {
 		t.Errorf("restart: serve.runs = %d, want 0 (no re-executions)", m)
 	}
-	if m := smokeMetric(t, base2, "store.hits"); m < n {
+	if m := metric(t, base2, "mhpc_store_hits_total"); m < n {
 		t.Errorf("restart: store.hits = %d, want >= %d", m, n)
 	}
-	stop(cmd2, exited2)
+	d2.stop(t)
 }

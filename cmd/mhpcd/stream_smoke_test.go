@@ -11,14 +11,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 )
@@ -28,40 +24,10 @@ func TestStreamSmoke(t *testing.T) {
 		t.Skip("set MHPC_STREAM_SMOKE=1 to run the mhpcd streaming smoke test")
 	}
 
-	bin := filepath.Join(t.TempDir(), "mhpcd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building mhpcd: %v\n%s", err, out)
-	}
-
-	port := freePort(t)
-	base := fmt.Sprintf("http://127.0.0.1:%d", port)
-	cmd := exec.Command(bin,
-		"-addr", fmt.Sprintf("127.0.0.1:%d", port),
-		"-j", "2", "-concurrency", "2", "-queue", "2",
+	d := startMhpcd(t, buildMhpcd(t), "-j", "2", "-concurrency", "2", "-queue", "2",
 		"-timeout", "5m", "-drain", "1s")
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	defer cmd.Process.Kill()
-
+	base := d.base
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("mhpcd never became healthy")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 
 	// A quick-registry job on the async path: 202 with a job envelope.
 	resp, err := http.Post(base+"/run/fig6?quick=1&seed=7", "application/json", nil)
@@ -200,15 +166,5 @@ func TestStreamSmoke(t *testing.T) {
 
 	// Clean SIGTERM exit with the drain aborting nothing (all jobs
 	// terminal by now).
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-exited:
-		if err != nil {
-			t.Fatalf("mhpcd exited non-zero after SIGTERM: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("mhpcd did not exit within 15s of SIGTERM")
-	}
+	d.stop(t)
 }

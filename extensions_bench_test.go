@@ -1,88 +1,16 @@
 package mobilehpc
 
-// Benchmarks for the extension systems: experiments beyond the paper's
-// own tables/figures (projections, lessons-learned quantifications)
-// plus ablations of runtime design choices.
+// Ablation benchmarks for runtime design choices beyond the paper's
+// own tables and figures: collective algorithms, communication
+// overlap, and GEMM autotuning.
 
 import (
 	"testing"
 
-	"mobilehpc/internal/accel"
 	"mobilehpc/internal/cluster"
-	"mobilehpc/internal/kernels"
 	"mobilehpc/internal/linalg"
 	"mobilehpc/internal/mpi"
-	"mobilehpc/internal/perf"
-	"mobilehpc/internal/power"
-	"mobilehpc/internal/reliability"
-	"mobilehpc/internal/sched"
-	"mobilehpc/internal/soc"
 )
-
-func BenchmarkProjectionARMv8(b *testing.B) {
-	benchExperiment(b, "projection")
-	profs := kernels.Profiles()
-	base := perf.Suite(soc.Tegra2(), 1.0, profs, 1)
-	v8 := perf.Suite(soc.ARMv8Quad(), 2.0, profs, 4)
-	b.ReportMetric(base.MeanTime/v8.MeanTime, "armv8_speedup")
-}
-
-func BenchmarkReliabilityNoECC(b *testing.B) {
-	benchExperiment(b, "reliability")
-	low, _ := reliability.PaperHeadline()
-	b.ReportMetric(low*100, "p1500_daily_pct")
-}
-
-func BenchmarkIOBottleneck(b *testing.B) {
-	benchExperiment(b, "iobottleneck")
-	b.ReportMetric(float64(cluster.TibidaboNFS().MaxNodesParallelIO(64<<20)), "max_parallel_nodes")
-}
-
-func BenchmarkEnergyCompare(b *testing.B) {
-	benchExperiment(b, "energycompare")
-}
-
-func BenchmarkOpenMXAblation(b *testing.B) {
-	benchExperiment(b, "ablation-openmx")
-}
-
-func BenchmarkBisectionAlltoall(b *testing.B) {
-	benchExperiment(b, "bisection")
-}
-
-func BenchmarkGovernorAblation(b *testing.B) {
-	benchExperiment(b, "governor")
-	p := soc.Exynos5250()
-	od := power.DefaultOndemand().Campaign(p, 2, 50, 0.5)
-	pf := power.DefaultPerformance().Campaign(p, 2, 50, 0.5)
-	b.ReportMetric((od.Time/pf.Time-1)*100, "ondemand_loss_pct")
-}
-
-func BenchmarkMicroserverCatalogue(b *testing.B) {
-	benchExperiment(b, "microserver")
-}
-
-func BenchmarkAccelOffload(b *testing.B) {
-	benchExperiment(b, "accel")
-	var dmmm perf.Profile
-	for _, k := range kernels.Suite() {
-		if k.Tag() == "dmmm" {
-			dmmm = k.Profile()
-		}
-	}
-	s, err := accel.Speedup(soc.Exynos5250(), accel.Tegra5Logan(), dmmm, "fp32", 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(s, "logan_fp32_speedup")
-}
-
-func BenchmarkStabilityCheckpointing(b *testing.B) {
-	benchExperiment(b, "stability")
-	mtbf := reliability.ClusterMTBFHours(96, 2, reliability.DIMMAnnualErrorLow,
-		reliability.TibidaboPCIe())
-	b.ReportMetric(mtbf, "tibidabo_mtbf_h")
-}
 
 // Collective-algorithm ablation: binomial vs linear broadcast and tree
 // vs ring allreduce on 16 Tibidabo nodes.
@@ -121,30 +49,6 @@ func BenchmarkCollectiveAlgorithms(b *testing.B) {
 				end = mpi.Run(mk(), 16, c.prog)
 			}
 			b.ReportMetric(end*1e6, "sim_us")
-		})
-	}
-}
-
-// Scheduler ablation: FIFO vs backfill on a mixed campaign.
-func BenchmarkSchedulerPolicies(b *testing.B) {
-	mkJobs := func() []*sched.Job {
-		return []*sched.Job{
-			{ID: 1, Nodes: 24, Duration: 100, Submit: 0},
-			{ID: 2, Nodes: 32, Duration: 60, Submit: 1},
-			{ID: 3, Nodes: 4, Duration: 5, Submit: 2},
-			{ID: 4, Nodes: 4, Duration: 5, Submit: 3},
-			{ID: 5, Nodes: 8, Duration: 10, Submit: 4},
-		}
-	}
-	for _, p := range []sched.Policy{sched.FIFO, sched.Backfill} {
-		p := p
-		b.Run(p.String(), func(b *testing.B) {
-			var res sched.Result
-			for i := 0; i < b.N; i++ {
-				res = sched.Simulate(32, mkJobs(), p)
-			}
-			b.ReportMetric(res.AvgWait, "avg_wait_s")
-			b.ReportMetric(res.Utilisation*100, "util_pct")
 		})
 	}
 }

@@ -40,6 +40,9 @@ func TestIOTotalTimeEqualEitherWay(t *testing.T) {
 func TestMaxNodesParallelIO(t *testing.T) {
 	nfs := TibidaboNFS()
 	maxN := nfs.MaxNodesParallelIO(64 << 20)
+	if maxN != 11 {
+		t.Errorf("max parallel-I/O nodes at 64 MiB each = %d, want 11", maxN)
+	}
 	if _, to := nfs.IOPhaseParallel(maxN, 64<<20); to {
 		t.Errorf("max node count %d still times out", maxN)
 	}

@@ -12,12 +12,9 @@
 package core
 
 import (
-	"io"
-
 	"mobilehpc/internal/apps/hpl"
 	"mobilehpc/internal/cluster"
 	"mobilehpc/internal/harness"
-	"mobilehpc/internal/interconnect"
 	"mobilehpc/internal/kernels"
 	"mobilehpc/internal/metrics"
 	"mobilehpc/internal/perf"
@@ -67,14 +64,6 @@ func EvaluateAll() []SoCEvaluation {
 	return out
 }
 
-// PingPong returns the §4.1 one-way latency (seconds) and effective
-// bandwidth (MB/s) for an m-byte message between two nodes of platform
-// p at fGHz under the given protocol, over 1 GbE.
-func PingPong(p *soc.Platform, fGHz float64, proto interconnect.Protocol, m int) (latency, mbps float64) {
-	e := interconnect.Endpoint{Platform: p, FGHz: fGHz, Proto: proto}
-	return interconnect.OneWayLatency(e, m, 1.0), interconnect.EffectiveBandwidth(e, m, 1.0)
-}
-
 // TibidaboHPL runs the §4 weak-scaled HPL on an n-node Tibidabo slice
 // and reports the Green500 metric alongside.
 func TibidaboHPL(nodes, matrixN int) (hpl.Result, float64) {
@@ -85,12 +74,3 @@ func TibidaboHPL(nodes, matrixN int) (hpl.Result, float64) {
 
 // Experiments exposes the per-table/figure registry.
 func Experiments() []harness.Experiment { return harness.Experiments() }
-
-// RunExperiment executes one experiment by id and renders it to w.
-func RunExperiment(w io.Writer, id string, quick bool) error {
-	e, err := harness.ByID(id)
-	if err != nil {
-		return err
-	}
-	return e.Run(harness.Options{Quick: quick}).Render(w)
-}

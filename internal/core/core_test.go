@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
-	"mobilehpc/internal/interconnect"
 	"mobilehpc/internal/soc"
 )
 
@@ -39,34 +36,10 @@ func TestEvaluateAllCoversEveryPlatformTwice(t *testing.T) {
 	}
 }
 
-func TestPingPongMatchesPaper(t *testing.T) {
-	lat, _ := PingPong(soc.Tegra2(), 1.0, interconnect.TCPIP(), 0)
-	if math.Abs(lat*1e6-100) > 3 {
-		t.Errorf("Tegra2 TCP latency = %.1f µs, want ~100", lat*1e6)
-	}
-	_, bw := PingPong(soc.Tegra2(), 1.0, interconnect.OpenMX(), 16<<20)
-	if math.Abs(bw-117) > 5 {
-		t.Errorf("Tegra2 Open-MX bandwidth = %.1f MB/s, want ~117", bw)
-	}
-}
-
 func TestTibidaboHPLSmall(t *testing.T) {
 	r, mpw := TibidaboHPL(4, 16384)
 	if !r.Valid || r.GFLOPS <= 0 || mpw <= 0 {
 		t.Errorf("degenerate HPL result: %+v mpw=%v", r, mpw)
-	}
-}
-
-func TestRunExperimentAndErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunExperiment(&buf, "table4", true); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "table4") {
-		t.Error("output missing table")
-	}
-	if err := RunExperiment(&buf, "nope", true); err == nil {
-		t.Error("unknown experiment did not error")
 	}
 }
 

@@ -4,8 +4,8 @@ package core
 // in cmd/. The mhpc CLI grew these rules in the telemetry PR (-j must
 // be a positive integer or "auto"; zero, negative, and garbage values
 // are errors, not silent fallbacks); this file is the one place the
-// rules live so mhpc, mhpcd, benchsnap, and jsoncheck cannot drift
-// apart again.
+// rules live so mhpc, mhpcd, and jsoncheck cannot drift apart
+// again.
 
 import (
 	"fmt"

@@ -13,6 +13,23 @@ import (
 	"mobilehpc/internal/sim"
 )
 
+// The process-lifetime once-values (hplEff1, quickHPL) must not cache
+// an abort: a run cancelled while it is their first caller would
+// otherwise poison them for every later run in the process. This test
+// sits first in the package's first cancel file so that, in a full
+// package run, it is that first caller.
+func TestOnceValuesIgnoreCancelledCaller(t *testing.T) {
+	f := sim.NewAbortFlag()
+	f.Abort(context.Canceled)
+	unbind := sim.BindAbort(f)
+	eff := hplEff1()
+	_, err := quickHPL()
+	unbind()
+	if eff <= 0 || err != nil {
+		t.Fatalf("hplEff1 = %v, quickHPL err = %v under a raised abort flag", eff, err)
+	}
+}
+
 // cancelAfterDispatches is a sim.Observer that cancels a context once
 // the engines of a run have dispatched a threshold number of events —
 // a deterministic way to land a cancellation in the middle of a

@@ -150,9 +150,20 @@ func runFig6(o Options) *Table {
 // hplEff1 returns the single-node HPL efficiency used to normalise the
 // weak scaling column (computed once on first use).
 var hplEff1 = sync.OnceValue(func() float64 {
-	r := hpl.Run(cluster.Tibidabo(1), 1, hpl.Config{N: 8192, RealN: 64})
-	return r.Efficiency
+	return unbound(func() float64 {
+		return hpl.Run(cluster.Tibidabo(1), 1, hpl.Config{N: 8192, RealN: 64}).Efficiency
+	})
 })
+
+// unbound runs fn on a fresh goroutine, where no abort flag is bound,
+// and waits for it. Process-lifetime once-values compute through it: a
+// run cancelled while it is the first caller must not leave the abort
+// panic cached in the once-value for every later run.
+func unbound[T any](fn func() T) T {
+	ch := make(chan T, 1)
+	go func() { ch <- fn() }()
+	return <-ch
+}
 
 func runFig7(Options) *Table {
 	t := &Table{

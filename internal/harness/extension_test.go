@@ -23,6 +23,7 @@ func TestProjectionClosesTheGap(t *testing.T) {
 	sv8 := base.MeanTime / v8.MeanTime
 	sex := base.MeanTime / ex.MeanTime
 	si7 := base.MeanTime / i7.MeanTime
+	within(t, "ARMv8 quad@2GHz vs Tegra2 (projection 11.27)", sv8, 11.27, 0.01)
 	if sv8 <= sex {
 		t.Errorf("ARMv8 projection (%v) not faster than Exynos5 (%v)", sv8, sex)
 	}

@@ -75,6 +75,19 @@ func TestFig7Bandwidths(t *testing.T) {
 	}
 }
 
+// §4.1 calibration of the ping-pong endpoints: Tegra 2 at 1 GHz
+// reaches ~100 µs one-way over TCP/IP and ~117 MB/s over Open-MX.
+func TestPingPongMatchesPaper(t *testing.T) {
+	e := Endpoint{Platform: soc.Tegra2(), FGHz: 1.0, Proto: TCPIP()}
+	if lat := OneWayLatency(e, 0, 1.0); math.Abs(lat*1e6-100) > 3 {
+		t.Errorf("Tegra2 TCP latency = %.1f µs, want ~100", lat*1e6)
+	}
+	e.Proto = OpenMX()
+	if bw := EffectiveBandwidth(e, 16<<20, 1.0); math.Abs(bw-117) > 5 {
+		t.Errorf("Tegra2 Open-MX bandwidth = %.1f MB/s, want ~117", bw)
+	}
+}
+
 func TestBandwidthBelowLinkMax(t *testing.T) {
 	// No configuration may exceed the 125 MB/s 1GbE ceiling.
 	for _, p := range soc.All() {

@@ -74,6 +74,14 @@ func TestPaperChoiceJustified(t *testing.T) {
 			t.Errorf("%s: ondemand not slower (%v vs %v)", p.Name, od.Time, pf.Time)
 		}
 	}
+	// The governor table's headline: on the Exynos 5250, 50 half-second
+	// steps under ondemand take ~42% longer than under performance.
+	ex := soc.Exynos5250()
+	od := DefaultOndemand().Campaign(ex, 2, 50, 0.5)
+	pf := DefaultPerformance().Campaign(ex, 2, 50, 0.5)
+	if loss := (od.Time/pf.Time - 1) * 100; math.Abs(loss-42.35) > 0.5 {
+		t.Errorf("Exynos5 ondemand campaign loss = %.2f%%, want 42.35", loss)
+	}
 }
 
 func TestBurstPanics(t *testing.T) {

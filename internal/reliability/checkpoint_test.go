@@ -104,6 +104,11 @@ func TestClusterMTBFCombines(t *testing.T) {
 	if math.IsInf(memOnly, 1) || memOnly <= 0 {
 		t.Errorf("memOnly = %v", memOnly)
 	}
+	// The stability table's Tibidabo row: 96 nodes at the low DIMM rate
+	// plus PCIe hangs fail every ~78 hours.
+	if got := ClusterMTBFHours(96, 2, DIMMAnnualErrorLow, TibidaboPCIe()); math.Abs(got-77.55) > 0.05 {
+		t.Errorf("Tibidabo cluster MTBF = %.2f h, want 77.55", got)
+	}
 }
 
 func TestCheckpointPanics(t *testing.T) {

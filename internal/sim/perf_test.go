@@ -7,7 +7,7 @@ import "testing"
 // recycles each fired event through its free list, and the
 // self-rescheduling pattern below reuses one event object forever.
 // Before/after numbers for the specialized-heap engine are recorded in
-// DESIGN.md (Engine performance) and BENCH_v4.json.
+// DESIGN.md (Engine performance).
 func BenchmarkEngineThroughput(b *testing.B) {
 	// step: one outstanding event, the dominant simulation pattern
 	// (dispatch, schedule successor). Exercises the cached-minimum slot;
