@@ -1,6 +1,7 @@
 # Verification gates for the mobilehpc reproduction. `make check` is
 # the full wall a PR must clear:
-#   vet, build, test   go vet, go build and the tier-1 test suite
+#   vet, build, test   go vet, go build (both modules) and the tier-1
+#                      test suite
 #   race               the -short suite under the race detector
 #   telemetry-smoke    every exporter on, stdout byte-identical, valid JSON
 #   faults-smoke       a fault-injected sweep byte-identical across -j,
@@ -21,11 +22,15 @@ TMP ?= /tmp/mhpc-smoke
 
 check: vet build test race telemetry-smoke faults-smoke bench-smoke benchmark-smoke serve-smoke stream-smoke store-smoke resume-smoke
 
+# vet and build cover the bench/ module too: it pins its own go.mod,
+# so a root go.mod change it cannot follow fails here in seconds.
 vet:
 	$(GO) vet ./...
+	cd bench && GOFLAGS= $(GO) vet .
 
 build:
 	$(GO) build ./...
+	cd bench && GOFLAGS= $(GO) build -o /dev/null .
 
 test:
 	$(GO) test ./...

@@ -147,7 +147,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	s := &server{
 		cfg:        cfg,
-		col:        obs.New(),
+		col:        obs.NewLive(),
 		sem:        make(chan struct{}, cfg.concurrency),
 		waiting:    make(chan struct{}, cfg.concurrency+cfg.queue),
 		flight:     map[string]*call{},

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mobilehpc/internal/obs"
 )
 
 // testConfig returns a config with a fast fake runner: it echoes the
@@ -609,5 +611,36 @@ func TestRealRegistryRun(t *testing.T) {
 	// A second request is a cache hit on the same bytes.
 	if again := runJob(t, ts.URL, "/run/table1?quick=1"); !again.Cached || again.ResultKey != st.ResultKey {
 		t.Errorf("replay: cached=%v key %q, want a cached hit on %q", again.Cached, again.ResultKey, st.ResultKey)
+	}
+}
+
+// The daemon's collector lives as long as the process, so it must not
+// grow per request: after 200 cold jobs (experiment, pool, Monte-Carlo
+// chunk and injected-fault spans among them) it holds no finished
+// spans and no open-span entries, while its counters still advance.
+func TestColdJobsRetainNoSpans(t *testing.T) {
+	if testing.Short() {
+		t.Skip("200 real experiment runs")
+	}
+	cfg := serverConfig{jobs: 1, concurrency: 1, queue: 1, timeout: time.Minute, cacheBytes: 64 << 20}
+	s := mustServer(t, cfg)
+	obs.SetActive(s.col)
+	defer obs.SetActive(nil)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	ids := []string{"fig7", "stability", "latpenalty", "faultsweep"}
+	const jobs = 200
+	for seed := 1; seed <= jobs; seed++ {
+		path := fmt.Sprintf("/run/%s?quick=1&seed=%d", ids[seed%len(ids)], seed)
+		if st := runJob(t, ts.URL, path); st.State != string(jobDone) || st.Cached {
+			t.Fatalf("%s: state %q cached=%v (%s), want a cold done job", path, st.State, st.Cached, st.Error)
+		}
+	}
+	if finished, open := s.col.Retained(); finished != 0 || open != 0 {
+		t.Errorf("collector holds %d finished spans and %d open-span entries after %d jobs, want none", finished, open, jobs)
+	}
+	c := s.col.Counters()
+	if c["faults.injected"] == 0 || c["serve.runs"] != jobs {
+		t.Errorf("faults.injected = %d, serve.runs = %d: counters stopped advancing", c["faults.injected"], c["serve.runs"])
 	}
 }

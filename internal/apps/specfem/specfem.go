@@ -253,7 +253,7 @@ func RunWeighted(cl *cluster.Cluster, nodes int, cfg Config, weights []float64) 
 			// own elements; contributions to shared boundary DOFs
 			// accumulate from both sides, as in real SEM assembly.
 			// (The simulation runs one goroutine at a time with
-			// channel handoffs, so += on shared DOFs is ordered.)
+			// coroutine switches, so += on shared DOFs is ordered.)
 			if ehi > elo {
 				mesh.internalForce(force, elo, ehi)
 			}

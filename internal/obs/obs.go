@@ -165,6 +165,7 @@ type Collector struct {
 
 	mu       sync.Mutex
 	nextID   int64
+	live     bool // NewLive: drop finished spans instead of buffering them
 	spans    []*Span
 	open     map[int64][]*Span // per-goroutine stack of open spans
 	counters map[string]*Counter
@@ -188,6 +189,17 @@ func New() *Collector {
 		meta:     map[string]string{},
 	}
 	c.set.Store(&metricSet{})
+	return c
+}
+
+// NewLive returns a collector for a long-lived process that never
+// exports a trace or manifest (the mhpcd daemon): spans still nest and
+// stream as open spans, and counters, gauges and histograms work as
+// under New, but a finished span is dropped instead of buffered, so
+// memory stays flat however many requests the process serves.
+func NewLive() *Collector {
+	c := New()
+	c.live = true
 	return c
 }
 
@@ -379,14 +391,22 @@ func (s *Span) End() {
 	s.Dur = now - s.Start
 	// Pop from the goroutine stack it was pushed on (spans end on the
 	// goroutine that started them; tolerate out-of-order ends).
+	// An emptied stack is deleted, so the map holds only goroutines
+	// with spans open.
 	stack := c.open[s.GID]
 	for i := len(stack) - 1; i >= 0; i-- {
 		if stack[i] == s {
-			c.open[s.GID] = append(stack[:i], stack[i+1:]...)
+			if len(stack) == 1 {
+				delete(c.open, s.GID)
+			} else {
+				c.open[s.GID] = append(stack[:i], stack[i+1:]...)
+			}
 			break
 		}
 	}
-	c.spans = append(c.spans, s)
+	if !c.live {
+		c.spans = append(c.spans, s)
+	}
 	var line string
 	if s.Cat == "experiment" && c.verbose != nil {
 		c.doneExp++
@@ -403,6 +423,19 @@ func (s *Span) End() {
 	if line != "" {
 		io.WriteString(w, line)
 	}
+}
+
+// Retained reports what the collector holds for spans: the finished
+// spans buffered for the exporters, and the goroutines with spans
+// still open. Both stay at zero between requests on a NewLive
+// collector. Nil-safe (returns zeros).
+func (c *Collector) Retained() (finished, openGoroutines int) {
+	if c == nil {
+		return 0, 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.spans), len(c.open)
 }
 
 // Counters returns a point-in-time copy of every counter's current

@@ -107,6 +107,32 @@ func TestSpanHierarchy(t *testing.T) {
 	if len(spans) != 3 {
 		t.Errorf("recorded %d spans, want 3", len(spans))
 	}
+	if finished, open := c.Retained(); finished != 3 || open != 0 {
+		t.Errorf("Retained = %d finished, %d open goroutines, want 3, 0", finished, open)
+	}
+}
+
+// A live collector streams open spans and keeps nesting them, but
+// drops each one when it ends: nothing accumulates across requests.
+func TestLiveCollectorDropsFinishedSpans(t *testing.T) {
+	c := NewLive()
+	outer := c.StartSpan("job", "experiment")
+	inner := c.StartSpan("sub", "subrun")
+	if inner.Parent != outer.ID {
+		t.Errorf("inner parent = %d, want %d", inner.Parent, outer.ID)
+	}
+	if open := c.openSpans(0); len(open) != 2 {
+		t.Errorf("%d open spans streamed, want 2", len(open))
+	}
+	inner.End()
+	outer.End()
+	c.Counter("serve.runs").Add(1)
+	if finished, open := c.Retained(); finished != 0 || open != 0 {
+		t.Errorf("Retained = %d finished, %d open goroutines, want none", finished, open)
+	}
+	if c.Counters()["serve.runs"] != 1 {
+		t.Error("live collector dropped a counter")
+	}
 }
 
 func TestVerboseProgress(t *testing.T) {

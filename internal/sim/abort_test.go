@@ -187,3 +187,73 @@ func waitForGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutines leaked: %d > base %d\n%s",
 		runtime.NumGoroutine(), base, buf[:n])
 }
+
+// Aborting the hpl-192 population — 192 parked processes plus one that
+// never got its first resume — must stop every coroutine: LiveProcs is
+// zero and the goroutine count returns to its baseline.
+func TestAbortManyParkedProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	flag := NewAbortFlag()
+	e := NewEngine()
+	e.SetAbortFlag(flag)
+	for i := 0; i < 192; i++ {
+		e.Go("rank", func(p *Proc) {
+			for {
+				p.Wait(1)
+			}
+		})
+	}
+	e.After(2.5, func() {
+		e.Go("unstarted", func(p *Proc) { t.Error("unstarted process ran") })
+		flag.Abort(nil)
+	})
+	if ab := recoverAbort(t, func() { e.RunAll() }); ab == nil {
+		t.Fatal("aborted Run returned normally")
+	}
+	if e.LiveProcs() != 0 || len(e.live) != 0 {
+		t.Fatalf("%d live procs (%d listed) after abort", e.LiveProcs(), len(e.live))
+	}
+	waitForGoroutines(t, base)
+}
+
+// A process that parks again from a deferred function while it is being
+// torn down must neither hang the abort nor leak: the second park
+// unwinds at once.
+func TestAbortDeferredWait(t *testing.T) {
+	base := runtime.NumGoroutine()
+	flag := NewAbortFlag()
+	e := NewEngine()
+	e.SetAbortFlag(flag)
+	deferRan, resumed := false, false
+	e.Go("cleanup-waiter", func(p *Proc) {
+		defer func() {
+			deferRan = true
+			p.Wait(1)
+			resumed = true
+		}()
+		for {
+			p.Wait(1)
+		}
+	})
+	e.After(1.5, func() { flag.Abort(nil) })
+	done := make(chan any)
+	go func() {
+		defer func() { done <- recover() }()
+		e.RunAll()
+	}()
+	select {
+	case r := <-done:
+		if _, ok := r.(*AbortError); !ok {
+			t.Fatalf("aborted Run ended with %v, want *AbortError", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("abort hung on a process parking in its deferred cleanup")
+	}
+	if !deferRan || resumed {
+		t.Fatalf("deferred cleanup ran=%v resumed past its park=%v", deferRan, resumed)
+	}
+	if e.LiveProcs() != 0 {
+		t.Fatalf("%d live procs after abort", e.LiveProcs())
+	}
+	waitForGoroutines(t, base)
+}

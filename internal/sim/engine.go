@@ -2,11 +2,13 @@
 //
 // The engine maintains a virtual clock and a priority queue of timed
 // events. On top of the raw event queue it offers blocking "processes":
-// goroutines that can wait for simulated time to pass or for messages to
-// arrive, in the style of SimPy or OMNeT++ simple modules. At any instant
-// exactly one goroutine runs (either the engine dispatch loop or a single
-// resumed process), so simulations are fully deterministic: equal-time
-// events fire in scheduling order.
+// coroutines (iter.Pull, each on its own goroutine) that can wait for
+// simulated time to pass or for messages to arrive, in the style of
+// SimPy or OMNeT++ simple modules. Control passes between the dispatch
+// loop and a process by a direct coroutine switch, never through the Go
+// scheduler, so at any instant exactly one goroutine runs (either the
+// engine dispatch loop or a single resumed process) and simulations are
+// fully deterministic: equal-time events fire in scheduling order.
 //
 // sim is the substrate under every time-based component of mobilehpc: the
 // interconnect models, the MPI runtime, and the cluster scalability

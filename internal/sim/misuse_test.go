@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -113,5 +114,31 @@ func TestSampledCheckQuietAcrossWindows(t *testing.T) {
 	e.RunAll()
 	if n != 3*ownerSampleWindow {
 		t.Fatalf("ran %d events, want %d", n, 3*ownerSampleWindow)
+	}
+}
+
+// runtime.Goexit in a process body exits the goroutine driving Run:
+// the coroutine hands the Goexit back across the switch, so Run never
+// returns (its deferred calls still run).
+func TestProcGoexitExitsRunGoroutine(t *testing.T) {
+	e := NewEngine()
+	e.Go("quitter", func(p *Proc) {
+		p.Wait(1)
+		runtime.Goexit()
+	})
+	returned, unwound := false, false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { unwound = true }()
+		e.RunAll()
+		returned = true
+	}()
+	<-done
+	if returned || !unwound {
+		t.Fatalf("Run returned=%v unwound=%v, want Goexit through the Run goroutine", returned, unwound)
+	}
+	if e.LiveProcs() != 0 {
+		t.Fatalf("%d live procs after Goexit", e.LiveProcs())
 	}
 }

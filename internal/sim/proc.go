@@ -1,21 +1,30 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a blocking simulation process backed by a goroutine. A process
-// may suspend itself (Wait, Queue.Pop, Hold) and be resumed later by the
-// engine; while it runs, the engine dispatch loop is parked, so exactly
-// one goroutine is ever active and the simulation stays deterministic.
+// Proc is a blocking simulation process backed by a coroutine
+// (iter.Pull). A process may suspend itself (Wait, Queue.Pop, Hold)
+// and be resumed later by the engine; each hand-off is a direct
+// coroutine switch, so exactly one goroutine is ever active and the
+// simulation stays deterministic. The body still runs on its own
+// goroutine, so goroutine-keyed state (engine ownership, BindAbort,
+// BindLedger) works inside a process as anywhere else. A body that
+// calls runtime.Goexit exits the goroutine driving Engine.Run too.
 type Proc struct {
-	eng      *Engine
-	name     string
-	gid      int64         // cached goroutine id, set once at first resume
-	resume   chan struct{} // engine -> proc: run
-	parked   chan struct{} // proc -> engine: parked or done
-	dead     bool
-	aborting bool // set by Engine.terminate: next resume must unwind, not run
-	liveIdx  int  // position in eng.live while alive
-	panicV   any
+	eng     *Engine
+	name    string
+	gid     int64                   // cached goroutine id, set once at first resume
+	next    func() (struct{}, bool) // engine -> proc: run until the next park
+	yield   func(struct{}) bool     // proc -> engine: park; false once stop ran
+	stop    func()                  // Engine.terminate: unwind a parked process
+	dead    bool
+	liveIdx int // position in eng.live while alive
+	panicV  any
 	// wake resumes this process from engine context. Allocated once at
 	// spawn so Wait/Queue/Resource wakeups schedule it with no per-call
 	// closure.
@@ -40,37 +49,25 @@ func (p *Proc) Now() float64 { return p.eng.now }
 // Go spawns fn as a simulation process starting at the current virtual
 // time. fn runs when the engine dispatches its start event.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
 	p.wake = func() { e.switchTo(p) }
 	e.procs++
 	p.liveIdx = len(e.live)
 	e.live = append(e.live, p)
-	go func() {
-		<-p.resume
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		// Control handed to this process for the first time: learn our
 		// goroutine id once; every later handoff reuses it.
+		p.yield = yield
 		p.gid = gid()
 		e.owner.Store(p.gid)
 		defer func() {
-			p.dead = true
-			e.procs--
-			e.dropLive(p)
-			if r := recover(); r != nil {
-				p.panicV = r
-			}
-			p.parked <- struct{}{}
+			e.retire(p)
+			// Recorded here, not re-raised by iter.Pull, so switchTo
+			// reports it with the process name.
+			p.panicV = recover()
 		}()
-		if p.aborting {
-			// Terminated before ever running: unwind without calling fn.
-			panic(procAbort{})
-		}
 		fn(p)
-	}()
+	})
 	e.Schedule(0, p.wake)
 	return p
 }
@@ -81,32 +78,34 @@ func (e *Engine) switchTo(p *Proc) {
 	if p.dead {
 		panic(fmt.Sprintf("sim: resuming dead process %q", p.name))
 	}
-	p.resume <- struct{}{}
-	<-p.parked
+	p.next()
 	e.owner.Store(e.loopGid) // control back in the dispatch loop
 	if p.panicV != nil {
 		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, p.panicV))
 	}
 }
 
-// park suspends the calling process until the engine resumes it. A
-// resume issued by Engine.terminate does not hand control back to the
-// process body: it panics procAbort so the goroutine unwinds (running
-// its defers) and exits — the teardown path of a cancelled run.
+// park suspends the calling process until the engine resumes it. When
+// Engine.terminate stops the coroutine instead, yield returns false and
+// park panics procAbort, so the body unwinds (running its defers) and
+// the coroutine ends — the teardown path of a cancelled run. A park
+// issued while unwinding panics again at once: yield keeps returning
+// false, so teardown never hangs.
 func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
+	ok := p.yield(struct{}{})
 	p.eng.owner.Store(p.gid) // control handed back to this process
-	if p.aborting {
+	if !ok {
 		panic(procAbort{})
 	}
 }
 
-// dropLive removes p from the engine's live list (O(1) swap-remove).
-// Called from the process's own death defer, which runs while the
-// engine goroutine is parked waiting on p.parked — so the list is
-// never mutated concurrently.
-func (e *Engine) dropLive(p *Proc) {
+// retire marks p dead and removes it from the engine's live list (O(1)
+// swap-remove). Runs in the process's death defer, or in terminate for
+// a process that never started; either way the engine loop is waiting
+// on the coroutine switch, so the list is never mutated concurrently.
+func (e *Engine) retire(p *Proc) {
+	p.dead = true
+	e.procs--
 	last := len(e.live) - 1
 	moved := e.live[last]
 	e.live[p.liveIdx] = moved
@@ -115,19 +114,20 @@ func (e *Engine) dropLive(p *Proc) {
 	e.live = e.live[:last]
 }
 
-// terminate force-unwinds one parked (or not-yet-started) process:
-// resume it with the aborting mark set, which makes park (or the
-// spawn prologue) panic procAbort on the process goroutine; the death
-// defer then marks it dead, drops it from the live list, and signals
-// back. Any panic value the unwinding produced is discarded — the run
-// is being cancelled, and procAbort (or a secondary panic out of the
-// process's own defers) must not mask the *AbortError the caller is
-// about to raise.
+// terminate force-unwinds one parked (or not-yet-started) process by
+// stopping its coroutine: a parked body sees yield return false and
+// unwinds through procAbort, and its death defer retires it. A process
+// stopped before its first resume never runs its body — nor its death
+// defer — so terminate retires it here. Any panic value the unwinding
+// produced is discarded: the run is being cancelled, and procAbort (or
+// a secondary panic out of the process's own defers) must not mask the
+// *AbortError the caller is about to raise.
 func (e *Engine) terminate(p *Proc) {
-	p.aborting = true
-	p.resume <- struct{}{}
-	<-p.parked
+	p.stop()
 	e.owner.Store(e.loopGid) // control back in the dispatch loop
+	if !p.dead {
+		e.retire(p)
+	}
 }
 
 // Suspend parks the calling process with no scheduled wakeup; some other

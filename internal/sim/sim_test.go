@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -254,10 +255,16 @@ func TestResource(t *testing.T) {
 
 func TestProcPanicPropagates(t *testing.T) {
 	e := NewEngine()
-	e.Go("boom", func(p *Proc) { panic("kaboom") })
+	e.Go("boom", func(p *Proc) {
+		p.Wait(1)
+		panic("kaboom")
+	})
 	defer func() {
-		if recover() == nil {
-			t.Error("process panic did not propagate")
+		// The coroutine must not re-raise the raw value: Run reports
+		// the panic with the process name.
+		msg, _ := recover().(string)
+		if want := `sim: process "boom" panicked: kaboom`; msg != want {
+			t.Errorf("panic %q, want %q", msg, want)
 		}
 	}()
 	e.RunAll()
@@ -340,14 +347,26 @@ func BenchmarkEventDispatch(b *testing.B) {
 	e.RunAll()
 }
 
-// BenchmarkProcSwitch measures process suspend/resume round trips.
+// BenchmarkProcSwitch measures process suspend/resume round trips:
+// one process alone, and the hpl-192 rank population of 192 processes
+// that each Wait(1), so the engine resumes them in round-robin and
+// every switch lands on a different coroutine. Before/after numbers
+// are recorded in DESIGN.md (Engine performance).
 func BenchmarkProcSwitch(b *testing.B) {
-	e := NewEngine()
-	e.Go("p", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Wait(1)
-		}
-	})
-	b.ResetTimer()
-	e.RunAll()
+	for _, ranks := range []int{1, 192} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			e := NewEngine()
+			switches := 0
+			for r := 0; r < ranks; r++ {
+				e.Go("rank", func(p *Proc) {
+					for switches < b.N {
+						switches++
+						p.Wait(1)
+					}
+				})
+			}
+			b.ResetTimer()
+			e.RunAll()
+		})
+	}
 }
