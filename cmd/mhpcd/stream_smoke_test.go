@@ -1,7 +1,7 @@
 package main
 
 // End-to-end smoke test of the live observability plane on the real
-// binary: build mhpcd, exec it, submit a quick-registry job on the
+// binary: build mhpcd, exec it, submit a full-fidelity job on the
 // async path, watch its SSE stream deliver at least three telemetry
 // deltas before completion, resolve the result key, cancel a
 // full-fidelity straggler over HTTP, and scrape /metrics as Prometheus
@@ -29,8 +29,8 @@ func TestStreamSmoke(t *testing.T) {
 	base := d.base
 	deadline := time.Now().Add(10 * time.Second)
 
-	// A quick-registry job on the async path: 202 with a job envelope.
-	resp, err := http.Post(base+"/run/fig6?quick=1&seed=7", "application/json", nil)
+	// A full-fidelity job on the async path: 202 with a job envelope.
+	resp, err := http.Post(base+"/run/fig6?seed=7", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +45,9 @@ func TestStreamSmoke(t *testing.T) {
 	}
 
 	// The SSE stream must deliver >= 3 telemetry deltas before the done
-	// event. fig6 quick runs ~25ms of real simulation, so a 2ms cadence
-	// leaves a wide margin.
+	// event. A full fig6 runs about a second of real simulation, so a
+	// 2ms cadence leaves a wide margin; a quick fig6 (~15ms on a 2-CPU
+	// host) can end before the subscription sees three ticks.
 	ev, err := http.Get(base + st.EventsURL + "?interval=2ms")
 	if err != nil {
 		t.Fatal(err)

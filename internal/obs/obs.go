@@ -428,7 +428,10 @@ func (s *Span) End() {
 // Retained reports what the collector holds for spans: the finished
 // spans buffered for the exporters, and the goroutines with spans
 // still open. Both stay at zero between requests on a NewLive
-// collector. Nil-safe (returns zeros).
+// collector. It is a test hook, exported so that a package holding a
+// long-lived collector (cmd/mhpcd) can assert from its own tests that
+// the collector does not grow per request; no production code calls
+// it. Nil-safe (returns zeros).
 func (c *Collector) Retained() (finished, openGoroutines int) {
 	if c == nil {
 		return 0, 0

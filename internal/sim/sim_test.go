@@ -254,20 +254,30 @@ func TestResource(t *testing.T) {
 }
 
 func TestProcPanicPropagates(t *testing.T) {
-	e := NewEngine()
-	e.Go("boom", func(p *Proc) {
-		p.Wait(1)
-		panic("kaboom")
-	})
-	defer func() {
-		// The coroutine must not re-raise the raw value: Run reports
-		// the panic with the process name.
-		msg, _ := recover().(string)
-		if want := `sim: process "boom" panicked: kaboom`; msg != want {
-			t.Errorf("panic %q, want %q", msg, want)
-		}
-	}()
-	e.RunAll()
+	bodies := map[string]func(p *Proc){
+		// Panics on its first resume, before it has ever parked.
+		"first-resume": func(p *Proc) { panic("kaboom") },
+		// Panics after a park and a later resume.
+		"after-wait": func(p *Proc) {
+			p.Wait(1)
+			panic("kaboom")
+		},
+	}
+	for name, body := range bodies {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			e.Go("boom", body)
+			defer func() {
+				// The coroutine must not re-raise the raw value: Run
+				// reports the panic with the process name.
+				msg, _ := recover().(string)
+				if want := `sim: process "boom" panicked: kaboom`; msg != want {
+					t.Errorf("panic %q, want %q", msg, want)
+				}
+			}()
+			e.RunAll()
+		})
+	}
 }
 
 // Property: for any set of non-negative delays, events fire in sorted
