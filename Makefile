@@ -45,9 +45,13 @@ bench:
 # (bench/) cannot see: engine dispatch, chunked transfer, the process
 # switch, histogram observe and the scrape path. A fixed 100 iterations
 # (no timing claims, race off) proves they still compile and run.
+# RunGrid (the 64-node 2-D HPL grid, ~0.3 s an iteration) runs once,
+# with its time and bytes printed, so the MPI matching path shows a
+# regression without the full benchmark.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EngineThroughput|TransferChunked|ProcSwitch|HistogramObserve|ScrapeRange' \
 		-benchtime 100x ./internal/sim ./internal/interconnect ./internal/obs
+	$(GO) test -run '^$$' -bench 'RunGrid/n=64' -benchmem -benchtime 1x ./internal/apps/hpl
 
 # The repository benchmark's own smoke: bench/ is a separate module, so
 # this is the gate that builds and runs it. Every workload runs for one

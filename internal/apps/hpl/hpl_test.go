@@ -6,6 +6,7 @@ import (
 
 	"mobilehpc/internal/cluster"
 	"mobilehpc/internal/linalg"
+	"mobilehpc/internal/obs"
 )
 
 func TestSolveValidates(t *testing.T) {
@@ -138,4 +139,43 @@ func TestGridValidation(t *testing.T) {
 		}
 	}()
 	RunGrid(cluster.Tibidabo(4), GridConfig{Config: Config{N: 1024}, P: 4, Q: 4})
+}
+
+// RunGrid broadcasts its row and column panels over the whole
+// communicator with a different root on each process row, so every
+// rank takes the first copy and the rest are never received; the MPI
+// runtime retires them. The counts are pinned at the hpl-grid
+// experiment's sizes (N = 8192·√nodes) so a change to the broadcast
+// pattern, or to the retirement rule, shows here.
+func TestGridRetiresUnreceivedBroadcastCopies(t *testing.T) {
+	for _, tc := range []struct {
+		nodes int
+		want  int64
+	}{{16, 10240}, {64, 110592}} {
+		c := obs.New()
+		obs.SetActive(c)
+		p, q := BestGrid(tc.nodes)
+		RunGrid(cluster.Tibidabo(tc.nodes), GridConfig{
+			Config: Config{N: int(8192 * math.Sqrt(float64(tc.nodes))), RealN: 64}, P: p, Q: q,
+		})
+		obs.SetActive(nil)
+		if got := c.Counter("mpi.unmatched").Value(); got != tc.want {
+			t.Errorf("%d nodes: mpi.unmatched = %d, want %d", tc.nodes, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkRunGrid times the 64-node hpl-grid configuration: the
+// workload whose unreceived broadcast copies used to pile up in every
+// rank's pending queue, so the matching path's time and bytes show
+// here without running the repository benchmark.
+func BenchmarkRunGrid(b *testing.B) {
+	b.Run("n=64", func(b *testing.B) {
+		p, q := BestGrid(64)
+		cfg := GridConfig{Config: Config{N: 8192 * 8, RealN: 64}, P: p, Q: q}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			RunGrid(cluster.Tibidabo(64), cfg)
+		}
+	})
 }

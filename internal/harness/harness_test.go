@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"mobilehpc/internal/obs"
 )
 
 func TestRegistryCoversEveryPaperArtefact(t *testing.T) {
@@ -140,5 +142,23 @@ func TestFig6ShapesQuick(t *testing.T) {
 	// all columns must be monotone non-decreasing.
 	if len(out.Rows) < 2 {
 		t.Fatalf("too few rows: %d", len(out.Rows))
+	}
+}
+
+// Only hpl-grid's 2-D broadcasts leave collective copies that no
+// receive matches (it roots each broadcast per process row and column
+// but sends it over the whole communicator); the MPI runtime retires
+// them and counts them in mpi.unmatched. Every other experiment
+// receives every message it sends.
+func TestOnlyHPLGridRetiresUnmatchedMessages(t *testing.T) {
+	want := map[string]int64{"hpl-grid": 10240}
+	for _, e := range Experiments() {
+		c := obs.New()
+		obs.SetActive(c)
+		e.Run(Options{Quick: true})
+		obs.SetActive(nil)
+		if got := c.Counter("mpi.unmatched").Value(); got != want[e.ID] {
+			t.Errorf("%s: mpi.unmatched = %d, want %d", e.ID, got, want[e.ID])
+		}
 	}
 }

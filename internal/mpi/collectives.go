@@ -2,38 +2,74 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"mobilehpc/internal/trace"
 )
 
-// beginColl marks the start of a collective for tracing: the whole
-// operation records as one Collective interval and suppresses the
-// per-message intervals of its internal sends and receives.
+// beginColl marks the start of a collective: its tags are live until
+// the returned closure runs at exit, which retires any stray copies it
+// left in pending (see retired). For tracing, the whole operation
+// records as one Collective interval and suppresses the per-message
+// intervals of its internal sends and receives.
 func (r *Rank) beginColl() func() {
+	r.inColl = true
 	if r.comm.tracer == nil {
-		r.inColl = true // still set for consistency; cheap
-		return func() { r.inColl = false }
+		return r.endColl
 	}
 	t0 := r.proc.Now()
-	r.inColl = true
 	return func() {
-		r.inColl = false
+		r.endColl()
 		r.comm.tracer.Record(r.id, trace.Collective, t0, r.proc.Now())
 	}
 }
 
-// Collective traffic uses a reserved high tag range so application
-// point-to-point tags (small integers) never collide with it. Every
-// collective invocation consumes one sequence number — all ranks call
-// collectives in the same order (an MPI correctness requirement), so
-// sequence numbers agree across ranks and traffic from consecutive
-// collectives cannot be confused even when propagation overlaps.
-const collBase = 1 << 20
+// endColl leaves the current collective and sweeps pending once for
+// its copies that arrived while the rank was still inside, such as
+// the second copy of a broadcast taken from whichever sender came
+// first. From here on deliver retires them on arrival.
+func (r *Rank) endColl() {
+	r.inColl = false
+	n := len(r.pending)
+	r.pending = slices.DeleteFunc(r.pending, func(m *Msg) bool { return r.retired(m.Tag) })
+	r.comm.Unmatched += int64(n - len(r.pending))
+}
 
-// collTag returns the tag for sub-operation `sub` (round or step index,
-// < 4096) of the current collective invocation.
+// Collective traffic uses a reserved high tag range so application
+// point-to-point tags (small integers) never collide with it; Send,
+// Isend, Recv and Irecv refuse tags >= collBase outside a collective.
+// Every collective invocation consumes one sequence number — all ranks
+// call collectives in the same order (an MPI correctness requirement),
+// so sequence numbers agree across ranks and traffic from consecutive
+// collectives cannot be confused even when propagation overlaps.
+const (
+	collBase = 1 << 20
+	collSubs = 4096 // sub-operation tags per collective invocation
+)
+
+// collTag returns the tag for sub-operation `sub` (round or step index)
+// of the current collective invocation. A sub outside [0, collSubs)
+// would alias a neighbouring invocation's tags, so it panics.
 func (r *Rank) collTag(sub int) int {
-	return collBase + r.collSeq*4096 + sub
+	if sub < 0 || sub >= collSubs {
+		panic(fmt.Sprintf("mpi: collective step %d out of range [0, %d)", sub, collSubs))
+	}
+	return collBase + r.collSeq*collSubs + sub
+}
+
+// retired reports whether a message with this tag can no longer be
+// matched by any receive r will post. collSeq only grows, it is bumped
+// on entry to each collective, and a collective receives only its own
+// tags; so a collective-tagged message is dead once its sequence
+// number is below collSeq, or equal to it after r has left that
+// collective. A message for a later collective (a fast sender running
+// ahead) is live and kept. Application tags never retire.
+func (r *Rank) retired(tag int) bool {
+	if tag < collBase {
+		return false
+	}
+	seq := (tag - collBase) / collSubs
+	return seq < r.collSeq || seq == r.collSeq && !r.inColl
 }
 
 // Barrier synchronises all ranks with the dissemination algorithm:

@@ -11,10 +11,19 @@
 // numerics), while time is fully virtual: computation is charged via
 // Rank.Compute and communication via the network model, so a 96-node
 // HPL run simulates in milliseconds of host time.
+//
+// Tags from collBase (1<<20) up are reserved for the collectives'
+// internal traffic; application code must use smaller tags, and Send,
+// Isend, Recv and Irecv panic on a reserved tag outside a collective.
+// A collective-tagged message that arrives after its receiver has left
+// that collective can never be matched, so the receiver retires it
+// instead of queueing it (see Rank.retired); Comm.Unmatched counts
+// them.
 package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"mobilehpc/internal/cluster"
 	"mobilehpc/internal/interconnect"
@@ -47,6 +56,12 @@ type recvWait struct {
 
 // Rank is one MPI process. All methods that advance time must be
 // called from within the rank's own program.
+//
+// pending is the unexpected-message queue, scanned linearly by match.
+// It holds only messages some future receive may still match: a
+// collective-tagged copy for a collective this rank has left is
+// retired on arrival (deliver) or when the collective exits (endColl),
+// so the queue stays bounded by live traffic.
 type Rank struct {
 	id      int
 	comm    *Comm
@@ -54,7 +69,7 @@ type Rank struct {
 	pending []*Msg
 	waiting []*recvWait
 	collSeq int  // per-rank collective invocation counter (see collTag)
-	inColl  bool // suppress per-message tracing inside collectives
+	inColl  bool // inside a collective: its tags are live, tracing is suppressed
 
 	// Event-driven protocol path. Send and the blocked arm of Recv park
 	// the rank exactly once: the protocol steps in between (injection
@@ -112,6 +127,12 @@ type Comm struct {
 	// Stats accumulated across the run.
 	BytesSent int64
 	Msgs      int64
+	// Unmatched counts collective-tagged messages retired undelivered:
+	// copies that reached a rank after it had left the collective they
+	// belong to, which no receive can ever match. Their senders still
+	// paid for them, so Msgs, BytesSent and CommMatrix include them.
+	// Added to the obs counter "mpi.unmatched" when the run ends.
+	Unmatched int64
 	// pairBytes[src*Size+dst] accumulates point-to-point traffic for
 	// the communication matrix (collective-internal traffic included:
 	// it travels the same wires).
@@ -188,6 +209,7 @@ func runCommon(cl *cluster.Cluster, n int, prog func(r *Rank), tr *trace.Trace) 
 		panic(fmt.Sprintf("mpi: deadlock — %d ranks still blocked at t=%v",
 			cl.Eng.LiveProcs(), end))
 	}
+	obs.Active().Counter("mpi.unmatched").Add(comm.Unmatched)
 	return comm, end
 }
 
@@ -244,6 +266,7 @@ func (r *Rank) Send(dst, tag int, data any, bytes int) {
 	if bytes < 0 {
 		panic("mpi: negative message size")
 	}
+	r.checkTag(tag)
 	ep := r.Node().Endpoint(r.comm.Cl.Proto)
 	t0 := r.proc.Now()
 	// One park for the whole protocol sequence: injection cost, the
@@ -273,14 +296,20 @@ func (c *Comm) CommMatrix() [][]int64 {
 	return out
 }
 
-// deliver places a message in dst's pending set and hands it to a
-// matching waiter, if any. Runs in the sender's process context; a
-// woken receiver resumes through the event queue (the waiter's deliver
-// posts its wake) so ordering is deterministic.
+// deliver hands a message to a matching waiter, if any, and otherwise
+// places it in r's pending set — unless no receive can ever match it
+// (retired), in which case it is counted in Comm.Unmatched and
+// dropped. Runs in the sender's process context; a woken receiver
+// resumes through the event queue (the waiter's deliver posts its
+// wake) so ordering is deterministic.
 func (r *Rank) deliver(m *Msg) {
+	if r.retired(m.Tag) {
+		r.comm.Unmatched++
+		return
+	}
 	for i, w := range r.waiting {
 		if (w.src == AnySource || w.src == m.Src) && (w.tag == AnyTag || w.tag == m.Tag) {
-			r.waiting = append(r.waiting[:i], r.waiting[i+1:]...)
+			r.waiting = slices.Delete(r.waiting, i, i+1)
 			w.deliver(m)
 			return
 		}
@@ -288,10 +317,20 @@ func (r *Rank) deliver(m *Msg) {
 	r.pending = append(r.pending, m)
 }
 
+// checkTag panics if an application call outside a collective uses a
+// tag in the collectives' reserved range: such a message could be
+// mistaken for collective traffic, and retired unreceived.
+func (r *Rank) checkTag(tag int) {
+	if tag >= collBase && !r.inColl {
+		panic(fmt.Sprintf("mpi: tag %d is reserved for collectives (application tags must be below %d)", tag, collBase))
+	}
+}
+
 // Recv blocks until a message matching (src, tag) arrives — use
 // AnySource / AnyTag as wildcards — then charges the receiver-side
 // protocol cost and returns the message.
 func (r *Rank) Recv(src, tag int) *Msg {
+	r.checkTag(tag)
 	t0 := r.proc.Now()
 	m := r.match(src, tag)
 	if m == nil {
@@ -320,7 +359,7 @@ func (r *Rank) Recv(src, tag int) *Msg {
 func (r *Rank) match(src, tag int) *Msg {
 	for i, m := range r.pending {
 		if (src == AnySource || src == m.Src) && (tag == AnyTag || tag == m.Tag) {
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
+			r.pending = slices.Delete(r.pending, i, i+1)
 			return m
 		}
 	}

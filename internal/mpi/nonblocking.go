@@ -65,6 +65,7 @@ func (r *Rank) Isend(dst, tag int, data any, bytes int) *Request {
 	if bytes < 0 {
 		panic("mpi: negative message size")
 	}
+	r.checkTag(tag)
 	ep := r.Node().Endpoint(r.comm.Cl.Proto)
 	// CPU injection cost blocks the caller (it is core time).
 	r.proc.Wait(ep.SendCost(bytes))
@@ -97,6 +98,7 @@ func (r *Rank) Isend(dst, tag int, data any, bytes int) *Request {
 // (wildcards allowed). The receiver-side protocol cost is charged at
 // Wait time, when the message is consumed.
 func (r *Rank) Irecv(src, tag int) *Request {
+	r.checkTag(tag)
 	req := &Request{rank: r}
 	if m := r.match(src, tag); m != nil {
 		req.msg, req.ready = m, true

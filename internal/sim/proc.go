@@ -5,6 +5,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"slices"
 )
 
 // Proc is a blocking simulation process backed by a coroutine
@@ -188,7 +189,7 @@ func (q *Queue) Push(v any) {
 	q.items = append(q.items, v)
 	if len(q.waiters) > 0 {
 		w := q.waiters[0]
-		q.waiters = q.waiters[:copy(q.waiters, q.waiters[1:])]
+		q.waiters = slices.Delete(q.waiters, 0, 1)
 		q.eng.post(q.eng.now, w.wake)
 	}
 }
@@ -200,7 +201,7 @@ func (q *Queue) Pop(p *Proc) any {
 		p.park()
 	}
 	v := q.items[0]
-	q.items = q.items[:copy(q.items, q.items[1:])]
+	q.items = slices.Delete(q.items, 0, 1)
 	return v
 }
 
@@ -211,7 +212,7 @@ func (q *Queue) TryPop() (v any, ok bool) {
 		return nil, false
 	}
 	v = q.items[0]
-	q.items = q.items[:copy(q.items, q.items[1:])]
+	q.items = slices.Delete(q.items, 0, 1)
 	return v, true
 }
 
@@ -273,7 +274,7 @@ func (r *Resource) AcquireFunc(fn func()) {
 func (r *Resource) Release() {
 	if len(r.waiters) > 0 {
 		w := r.waiters[0]
-		r.waiters = r.waiters[:copy(r.waiters, r.waiters[1:])]
+		r.waiters = slices.Delete(r.waiters, 0, 1)
 		r.eng.post(r.eng.now, w)
 		return
 	}
