@@ -10,7 +10,8 @@
 #   benchmark-smoke    every bench/ workload, untraced and traced, end to
 #                      end through the real binaries
 #   serve-smoke        the real mhpcd: cache, admission, SIGTERM drain,
-#                      and a coalescing daemon under concurrent jobs
+#                      and a coalescing daemon under concurrent jobs,
+#                      SIGKILLed mid-sweep and resumed
 #   stream-smoke       SSE telemetry, job cancel, Prometheus /metrics
 #   store-smoke        kill and restart on one -store-dir, zero re-runs
 #   resume-smoke       a SIGKILLed checkpointing sweep resumes
@@ -91,10 +92,13 @@ faults-smoke:
 # a job failing at capacity under admission overflow, and SIGTERMs
 # mid-run that must exit 0 after the drain either stores the unwatched
 # run (it finishes within -drain) or aborts it through the
-# cancellation path with its checkpointed progress kept; then a -batch-window 10ms daemon must
-# coalesce concurrent jobs into sweeps and store byte-identical
-# tables. Race mode on: the server's cache/singleflight/admission
-# state is all shared-memory concurrent.
+# cancellation path with its checkpointed progress kept; then a
+# -batch-window 10ms daemon on its own -store-dir must coalesce
+# concurrent jobs into sweeps and store byte-identical tables, and,
+# SIGKILLed mid-sweep once a task has committed, must resume the sweep
+# after a restart on the same directory (serve.resumes > 0) and store
+# the bytes of an uninterrupted one. Race mode on: the server's
+# cache/singleflight/admission state is all shared-memory concurrent.
 serve-smoke:
 	MHPC_SERVE_SMOKE=1 $(GO) test -race -run TestServeSmoke -count=1 ./cmd/mhpcd
 

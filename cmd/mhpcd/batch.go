@@ -1,41 +1,34 @@
 package main
 
 // Request coalescing: singleflight generalized from "identical
-// request" to "same sweep". Without batching every admitted run is
-// its own harness.TablesContext call; with `-batch-window` > 0 the
-// per-key singleflight leaders that arrive within one window (and
-// share an experiment family — the same quick/csv options) are merged
-// into a single sweep execution: one admission token, one
-// TablesContext over the union of their experiment ids, and the
+// request" to "same sweep". Every leader runs as a sweep (runSweep in
+// server.go). Without batching it is a sweep of one, run at once; with
+// `-batch-window` > 0 the per-key singleflight leaders that arrive
+// within one window (and share an experiment family — the same
+// quick/csv options) are merged into one sweep: one admission token,
+// one TablesContext over the union of their experiment ids, and the
 // per-id rendered bytes fanned back out to every waiting key. The
 // harness pool then parallelizes *inside* the sweep (opt.Jobs), so a
 // burst of B requests over U unique experiments costs U executions
 // in one admission slot instead of B executions in B slots.
 //
-// Per-table rendering is unchanged from the unbatched path, so the
-// bytes each waiter receives are identical to what its own solo run
-// would have produced (TestBatchedRealRegistryByteIdentity pins
-// this).
+// A sweep of one and a sweep of many render through the same code, so
+// the bytes each waiter receives are identical to what its own solo
+// run would have produced (TestBatchedRealRegistryByteIdentity pins
+// this), and both checkpoint every member key into its own ledger: a
+// batched job resumes after a kill like a solo one
+// (TestBatchedSweepResumesAfterAbort).
 //
 // Cancellation is per-waiter: a waiter whose context dies stops
 // listening (its own caller sees the cancellation) but the shared
 // sweep keeps running for the rest; only when the *last* waiter bails
 // is the sweep itself cancelled. A server drain still aborts sweeps
 // through baseCtx like any other run.
-//
-// Batched sweeps bypass the resumable-run checkpointing of
-// admitAndRun by design: a sweep's identity is the union of whatever
-// keys happened to coalesce in one window, not a stable run key, so
-// there is no ledger to resume from. An aborted sweep simply re-runs;
-// the unbatched path (-batch-window 0) is the one that checkpoints.
 
 import (
-	"bytes"
 	"context"
 	"sync"
 	"time"
-
-	"mobilehpc/internal/harness"
 )
 
 // famKey groups runs that can share one sweep: the options that feed
@@ -63,11 +56,12 @@ type sweep struct {
 	timer  *time.Timer
 
 	done    chan struct{}
-	results map[string][]byte
+	results map[string]swept
 	err     error
 }
 
-// batcher windows incoming leaders into sweeps.
+// batcher windows incoming leaders into sweeps; with a zero window
+// each leader is a sweep of one.
 type batcher struct {
 	s      *server
 	window time.Duration
@@ -77,25 +71,32 @@ type batcher struct {
 	pending map[famKey]*sweep
 }
 
-func newBatcher(s *server, window time.Duration, max int) *batcher {
-	if max <= 0 {
-		max = 32
-	}
-	return &batcher{s: s, window: window, max: max, pending: map[famKey]*sweep{}}
-}
-
-// submit enrolls p in its family's pending sweep (opening one and
-// arming the window timer if none is pending) and blocks until the
-// sweep delivers or ctx dies. Exactly one submit per content key is
-// in flight at a time — the per-key singleflight upstream guarantees
-// it — so ps never holds duplicate keys.
-func (b *batcher) submit(ctx context.Context, p runParams) ([]byte, error) {
+// submit runs p as a sweep and returns its share. With a zero window
+// that is a sweep of one, run on the caller's goroutine. Otherwise p
+// enrolls in its family's pending sweep (opening one and arming the
+// window timer if none is pending) and submit blocks until the sweep
+// delivers or ctx dies. Exactly one submit per content key is in
+// flight at a time — the per-key singleflight upstream guarantees it —
+// so ps never holds duplicate keys.
+func (b *batcher) submit(ctx context.Context, p runParams) (swept, error) {
 	fam := p.family()
+	if b.window == 0 {
+		out, err := b.s.runSweep(ctx, fam, []runParams{p})
+		return out[p.key()], err
+	}
 	b.mu.Lock()
 	sw := b.pending[fam]
 	if sw == nil {
 		sw = &sweep{b: b, fam: fam, done: make(chan struct{})}
-		sw.timer = time.AfterFunc(b.window, func() { b.fire(fam, sw) })
+		sw.timer = time.AfterFunc(b.window, func() {
+			// Window over: detach the sweep from pending and run it.
+			b.mu.Lock()
+			if b.pending[fam] == sw {
+				delete(b.pending, fam)
+			}
+			b.mu.Unlock()
+			sw.run()
+		})
 		b.pending[fam] = sw
 	}
 	sw.mu.Lock()
@@ -115,24 +116,11 @@ func (b *batcher) submit(ctx context.Context, p runParams) ([]byte, error) {
 
 	select {
 	case <-sw.done:
-		if sw.err != nil {
-			return nil, sw.err
-		}
-		return sw.results[p.key()], nil
+		return sw.results[p.key()], sw.err
 	case <-ctx.Done():
 		sw.release()
-		return nil, ctx.Err()
+		return swept{}, ctx.Err()
 	}
-}
-
-// fire detaches the sweep from pending (timer path) and runs it.
-func (b *batcher) fire(fam famKey, sw *sweep) {
-	b.mu.Lock()
-	if b.pending[fam] == sw {
-		delete(b.pending, fam)
-	}
-	b.mu.Unlock()
-	sw.run()
 }
 
 // release drops one waiter; the last one out cancels the shared
@@ -150,7 +138,7 @@ func (sw *sweep) release() {
 
 // run executes the sweep once: guard against double-fire (the timer
 // and the batch-max path can race), build the sweep context, account
-// the batch, execute under one admission token, publish.
+// the batch, execute it, publish.
 func (sw *sweep) run() {
 	sw.mu.Lock()
 	if sw.fired {
@@ -177,51 +165,8 @@ func (sw *sweep) run() {
 	s.counter("serve.batch_jobs").Add(int64(len(ps)))
 	s.col.Histogram("serve.batch_size").Observe(int64(len(ps)))
 
-	var results map[string][]byte
-	err := s.admitted(ctx, func(runCtx context.Context) error {
-		var e error
-		results, e = s.cfg.sweepFn(runCtx, sw.fam, ps, s.cfg.jobs)
-		return e
-	})
+	results, err := s.runSweep(ctx, sw.fam, ps)
 	cancel()
 	sw.results, sw.err = results, err
 	close(sw.done)
-}
-
-// runSweepBytes is the real sweep executor: one TablesContext over
-// the union of experiment ids, rendered per table exactly as the
-// unbatched runExperimentBytes renders, fanned out per key. Keys
-// sharing an id (seed is a replica salt) share one execution and one
-// rendering.
-func runSweepBytes(ctx context.Context, fam famKey, ps []runParams, jobs int) (map[string][]byte, error) {
-	var ids []string
-	seen := map[string]bool{}
-	for _, p := range ps {
-		if !seen[p.ID] {
-			seen[p.ID] = true
-			ids = append(ids, p.ID)
-		}
-	}
-	tabs, err := harness.TablesContext(ctx, ids, harness.Options{Quick: fam.quick, Jobs: jobs})
-	if err != nil {
-		return nil, err
-	}
-	byID := make(map[string][]byte, len(ids))
-	for i, tab := range tabs {
-		var buf bytes.Buffer
-		if fam.csv {
-			err = tab.CSV(&buf)
-		} else {
-			err = tab.Render(&buf)
-		}
-		if err != nil {
-			return nil, err
-		}
-		byID[ids[i]] = buf.Bytes()
-	}
-	out := make(map[string][]byte, len(ps))
-	for _, p := range ps {
-		out[p.key()] = byID[p.ID]
-	}
-	return out, nil
 }

@@ -31,15 +31,7 @@ func (r *sweepRecorder) fn(ctx context.Context, fam famKey, ps []runParams, jobs
 	r.keys += len(ps)
 	r.fams = append(r.fams, fam)
 	r.mu.Unlock()
-	out := make(map[string][]byte, len(ps))
-	for _, p := range ps {
-		b, err := echoRun(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		out[p.key()] = b
-	}
-	return out, nil
+	return perMember(echoRun)(ctx, fam, ps, jobs)
 }
 
 func (r *sweepRecorder) counts() (sweeps, keys int) {
@@ -206,12 +198,12 @@ func TestBatchWaiterCancelKeepsSweepAlive(t *testing.T) {
 	p1 := runParams{ID: "table1", Seed: 1, Quick: true}
 	p2 := runParams{ID: "table1", Seed: 2, Quick: true}
 	go func() {
-		d, err := s.execute(ctx1, p1)
-		r1 <- reply{d, err}
+		out, err := s.batcher.submit(ctx1, p1)
+		r1 <- reply{out.data, err}
 	}()
 	go func() {
-		d, err := s.execute(context.Background(), p2)
-		r2 <- reply{d, err}
+		out, err := s.batcher.submit(context.Background(), p2)
+		r2 <- reply{out.data, err}
 	}()
 
 	var sweepCtx context.Context
@@ -266,7 +258,7 @@ func TestBatchLastWaiterCancelAbortsSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.execute(ctx, runParams{ID: "table1", Seed: 1, Quick: true})
+		_, err := s.batcher.submit(ctx, runParams{ID: "table1", Seed: 1, Quick: true})
 		errc <- err
 	}()
 	var sweepCtx context.Context
@@ -296,7 +288,7 @@ func TestBatchAbandonedSweepNeverRuns(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.execute(ctx, runParams{ID: "table1", Seed: 1, Quick: true})
+		_, err := s.batcher.submit(ctx, runParams{ID: "table1", Seed: 1, Quick: true})
 		errc <- err
 	}()
 	time.Sleep(5 * time.Millisecond) // let submit enroll

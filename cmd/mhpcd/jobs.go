@@ -144,13 +144,15 @@ func (j *job) setRunning() {
 	j.mu.Unlock()
 }
 
-// complete records the terminal state. The caller closes j.done (once)
-// after it returns.
-func (j *job) complete(err error, cached, coalesced bool) {
+// complete records the terminal state; a done job also records the
+// fraction of its tasks restored from a checkpoint ledger rather than
+// re-executed (resumed_from in the status JSON and the SSE state/done
+// events). The caller closes j.done (once) after it returns.
+func (j *job) complete(err error, cached, coalesced bool, resumedFrom float64) {
 	j.mu.Lock()
 	switch {
 	case err == nil:
-		j.state = jobDone
+		j.state, j.resumedFrom = jobDone, resumedFrom
 	case errors.Is(err, context.Canceled):
 		j.state = jobCancelled
 		j.err = err
@@ -160,15 +162,6 @@ func (j *job) complete(err error, cached, coalesced bool) {
 	}
 	j.cached, j.coalesced = cached, coalesced
 	j.finished = time.Now()
-	j.mu.Unlock()
-}
-
-// setResumedFrom records the fraction of the run's tasks that were
-// restored from a checkpoint ledger rather than re-executed; it flows
-// into the status JSON (resumed_from) and the SSE state/done events.
-func (j *job) setResumedFrom(f float64) {
-	j.mu.Lock()
-	j.resumedFrom = f
 	j.mu.Unlock()
 }
 
@@ -253,7 +246,7 @@ func (s *server) executeJob(j *job) {
 	if _, ok := s.cacheGet(j.key); ok {
 		s.mu.Unlock()
 		s.counter("serve.cache_hits").Add(1)
-		j.complete(nil, true, false)
+		j.complete(nil, true, false, 0)
 		return
 	}
 	c, leader := s.joinLocked(j.key)
@@ -263,20 +256,15 @@ func (s *server) executeJob(j *job) {
 		s.counter("serve.singleflight_hits").Add(1)
 		select {
 		case <-c.done:
-			j.complete(c.err, false, true)
+			j.complete(c.err, false, true, 0)
 		case <-j.ctx.Done():
-			j.complete(j.ctx.Err(), false, true)
+			j.complete(j.ctx.Err(), false, true, 0)
 		}
 		return
 	}
-	data, err := s.execute(j.ctx, j.params)
-	err = s.finish(j.key, j.params, c, data, err)
-	if err == nil {
-		if f, ok := s.takeResumeFrac(j.key); ok {
-			j.setResumedFrom(f)
-		}
-	}
-	j.complete(err, false, false)
+	out, err := s.batcher.submit(j.ctx, j.params)
+	err = s.finish(j.key, j.params, c, out.data, err)
+	j.complete(err, false, false, out.resumedFrom)
 }
 
 // handleJob serves GET /job/{job}.

@@ -38,13 +38,16 @@
 // restarted server serves previously computed keys without
 // re-executing them.
 //
-// With -batch-window > 0, run submissions that arrive within one
-// window and share an experiment family (quick/csv options) are
-// coalesced into a single harness sweep — one admission token, one
-// TablesContext over the union of their experiment ids — and the
-// per-id results fan back out to every waiter, byte-identical to solo
-// runs. -batch-max fires a sweep early once that many distinct keys
-// have joined.
+// Every run executes as a sweep. With -batch-window > 0, run
+// submissions that arrive within one window and share an experiment
+// family (quick/csv options) are coalesced into a single harness
+// sweep — one admission token, one TablesContext over the union of
+// their experiment ids — and the per-id results fan back out to every
+// waiter, byte-identical to solo runs; otherwise each run is a sweep
+// of one. -batch-max fires a sweep early once that many distinct keys
+// have joined. Batched or not, each run key checkpoints its completed
+// tasks (under -store-dir, fsynced to disk), so a failed, aborted or
+// killed run resumes from its committed progress when resubmitted.
 //
 // Admission is bounded: -concurrency runs execute at once, -queue more
 // may wait, and a job beyond that fails immediately ("at capacity").

@@ -8,16 +8,18 @@ package main
 // internal/store: a byte-budgeted strict-LRU layer that, with
 // -store-dir set, is disk-backed and survives restarts — a key
 // computed before a SIGTERM is a cache hit after the process comes
-// back (TestStoreSmoke proves zero re-executions). With
-// -batch-window set, leaders are further coalesced into batched
-// sweeps (see batch.go). Every request is an asynchronous job
-// (jobs.go). Admission is bounded: -concurrency runs/sweeps execute
-// at once, -queue more may wait, and a job past that fails at once
-// with errBusy instead of piling up goroutines. Cancellation rides
-// the abort plumbing: each run gets a context bounded by its job
-// (DELETE /job/{id}), the per-run timeout, and the server's drain
-// deadline, and harness.TablesContext unwinds the simulation engines
-// mid-event when any of them fires.
+// back (TestStoreSmoke proves zero re-executions). Every leader runs
+// as a sweep (runSweep): alone, or with -batch-window set merged with
+// the other leaders of its window (see batch.go); either way each
+// member key checkpoints into its own ledger and resumes from it
+// after a failure, a drain abort or a kill. Every request is an
+// asynchronous job (jobs.go). Admission is bounded: -concurrency
+// sweeps execute at once, -queue more may wait, and a job past that
+// fails at once with errBusy instead of piling up goroutines.
+// Cancellation rides the abort plumbing: each sweep gets a context
+// bounded by its waiters (DELETE /job/{id}), the per-run timeout, and
+// the server's drain deadline, and harness.TablesContext unwinds the
+// simulation engines mid-event when any of them fires.
 
 import (
 	"bytes"
@@ -93,9 +95,10 @@ type serverConfig struct {
 	storeDir    string        // result-store directory; "" = memory-only
 	jobHistory  int           // job records kept (FIFO over finished jobs); 0 = default
 	batchWindow time.Duration // coalescing window; 0 disables batching
-	batchMax    int           // keys merged into one sweep before firing early
-	runFn       func(ctx context.Context, p runParams) ([]byte, error)
-	sweepFn     func(ctx context.Context, fam famKey, ps []runParams, jobs int) (map[string][]byte, error)
+	batchMax    int           // keys merged into one sweep before firing early; positive when batching
+	// sweepFn renders every member of a sweep, by key; nil selects
+	// runSweepBytes, the real registry. Tests substitute fakes.
+	sweepFn func(ctx context.Context, fam famKey, ps []runParams, jobs int) (map[string][]byte, error)
 }
 
 // server serves the experiment registry over HTTP. The flight table
@@ -105,7 +108,7 @@ type server struct {
 	cfg      serverConfig
 	col      *obs.Collector
 	store    *store.Store
-	batcher  *batcher      // nil when batching is off
+	batcher  *batcher
 	sem      chan struct{} // concurrency slots
 	waiting  chan struct{} // admission: concurrency + queue tokens
 	draining atomic.Bool
@@ -126,34 +129,32 @@ type server struct {
 	// memory-only too.
 	ckptDir string
 
-	mu         sync.Mutex
-	flight     map[string]*call
-	jobs       map[string]*job
-	jobOrder   []string // job ids, oldest first (FIFO eviction of finished jobs)
-	jobSeq     int64
-	ledgers    map[string]*store.Ledger // open checkpoint ledgers by run key
-	resumeFrac map[string]float64       // run key -> fraction restored, set when a resumed run completes
+	mu       sync.Mutex
+	flight   map[string]*call
+	jobs     map[string]*job
+	jobOrder []string // job ids, oldest first (FIFO eviction of finished jobs)
+	jobSeq   int64
+	ledgers  map[string]*store.Ledger // checkpoint ledgers of live or failed-in-memory keys
 }
 
 // newServer wires a server from cfg, opening (and with a storeDir,
-// recovering) the result store; nil cfg.runFn/sweepFn get the real
-// registry runner and sweep executor.
+// recovering) the result store; the store refuses a budget that is
+// not positive.
 func newServer(cfg serverConfig) (*server, error) {
-	if cfg.cacheBytes <= 0 {
-		return nil, fmt.Errorf("mhpcd: result-store budget %d: want a positive byte count (every result is served from the store)", cfg.cacheBytes)
-	}
 	if cfg.jobHistory <= 0 {
 		cfg.jobHistory = 256
 	}
+	if cfg.sweepFn == nil {
+		cfg.sweepFn = runSweepBytes
+	}
 	s := &server{
-		cfg:        cfg,
-		col:        obs.NewLive(),
-		sem:        make(chan struct{}, cfg.concurrency),
-		waiting:    make(chan struct{}, cfg.concurrency+cfg.queue),
-		flight:     map[string]*call{},
-		jobs:       map[string]*job{},
-		ledgers:    map[string]*store.Ledger{},
-		resumeFrac: map[string]float64{},
+		cfg:     cfg,
+		col:     obs.NewLive(),
+		sem:     make(chan struct{}, cfg.concurrency),
+		waiting: make(chan struct{}, cfg.concurrency+cfg.queue),
+		flight:  map[string]*call{},
+		jobs:    map[string]*job{},
+		ledgers: map[string]*store.Ledger{},
 	}
 	if cfg.storeDir != "" {
 		s.ckptDir = filepath.Join(cfg.storeDir, "partials")
@@ -164,81 +165,61 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	s.store = st
 	s.baseCtx, s.abortRuns = context.WithCancel(context.Background())
-	if s.cfg.runFn == nil {
-		s.cfg.runFn = func(ctx context.Context, p runParams) ([]byte, error) {
-			return runExperimentBytes(ctx, p, cfg.jobs)
-		}
-	}
-	if s.cfg.sweepFn == nil {
-		s.cfg.sweepFn = runSweepBytes
-	}
-	if cfg.batchWindow > 0 {
-		s.batcher = newBatcher(s, cfg.batchWindow, cfg.batchMax)
-	}
+	s.batcher = &batcher{s: s, window: cfg.batchWindow, max: cfg.batchMax, pending: map[famKey]*sweep{}}
 	return s, nil
 }
 
 // cacheGet looks key up in the result store (touching it to MRU).
-func (s *server) cacheGet(key string) (runResult, bool) {
-	raw, ok := s.store.Get(key)
-	if !ok {
-		return runResult{}, false
-	}
-	var res runResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return runResult{}, false
-	}
-	return res, true
-}
+func (s *server) cacheGet(key string) (runResult, bool) { return decodeResult(s.store.Get(key)) }
 
 // cachePeek is cacheGet without the hit/miss accounting or the LRU
 // touch — for internal reads that should not skew the metrics.
-func (s *server) cachePeek(key string) (runResult, bool) {
-	raw, ok := s.store.Peek(key)
-	if !ok {
-		return runResult{}, false
-	}
+func (s *server) cachePeek(key string) (runResult, bool) { return decodeResult(s.store.Peek(key)) }
+
+// decodeResult unmarshals a stored envelope; a miss or an envelope
+// that does not decode is not found.
+func decodeResult(raw []byte, ok bool) (runResult, bool) {
 	var res runResult
-	if err := json.Unmarshal(raw, &res); err != nil {
+	if !ok || json.Unmarshal(raw, &res) != nil {
 		return runResult{}, false
 	}
 	return res, true
 }
 
 // cachePut writes one finished run through to the result store. The
-// store is the only way output reaches a client, so a result it would
-// drop (larger than the whole budget) or fail to write is an error.
+// store is the only way output reaches a client, so a result it
+// refuses (larger than the whole budget) or fails to write is an
+// error.
 func (s *server) cachePut(key string, p runParams, data []byte) error {
 	env, err := json.Marshal(runResult{Key: key, ID: p.ID, Seed: p.Seed, Output: string(data)})
 	if err != nil {
 		return err
 	}
-	if int64(len(env)) > s.cfg.cacheBytes {
-		return fmt.Errorf("mhpcd: %d-byte result exceeds the %d-byte result-store budget", len(env), s.cfg.cacheBytes)
-	}
 	return s.store.Put(key, env)
 }
 
-// execute runs one admitted leader: through the batch coalescer when
-// batching is on, directly otherwise.
-func (s *server) execute(ctx context.Context, p runParams) ([]byte, error) {
-	if s.batcher != nil {
-		return s.batcher.submit(ctx, p)
+// runSweepBytes is the real sweep executor: one TablesContext over
+// the union of the members' experiment ids, each table rendered
+// (table or CSV) to bytes and fanned out per key. Keys sharing an id
+// (seed is a replica salt) share one execution and one rendering.
+// This is the only place mhpcd touches the simulation substrate.
+func runSweepBytes(ctx context.Context, fam famKey, ps []runParams, jobs int) (map[string][]byte, error) {
+	var ids []string
+	seen := map[string]bool{}
+	for _, p := range ps {
+		if !seen[p.ID] {
+			seen[p.ID] = true
+			ids = append(ids, p.ID)
+		}
 	}
-	return s.admitAndRun(ctx, p)
-}
-
-// runExperimentBytes executes one registry experiment under ctx and
-// renders it (table or CSV) to bytes. This is the only place mhpcd
-// touches the simulation substrate.
-func runExperimentBytes(ctx context.Context, p runParams, jobs int) ([]byte, error) {
-	tabs, err := harness.TablesContext(ctx, []string{p.ID}, harness.Options{Quick: p.Quick, Jobs: jobs})
+	tabs, err := harness.TablesContext(ctx, ids, harness.Options{Quick: fam.quick, Jobs: jobs})
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	for _, tab := range tabs {
-		if p.CSV {
+	byID := make(map[string][]byte, len(ids))
+	for i, tab := range tabs {
+		var buf bytes.Buffer
+		if fam.csv {
 			err = tab.CSV(&buf)
 		} else {
 			err = tab.Render(&buf)
@@ -246,8 +227,13 @@ func runExperimentBytes(ctx context.Context, p runParams, jobs int) ([]byte, err
 		if err != nil {
 			return nil, err
 		}
+		byID[ids[i]] = buf.Bytes()
 	}
-	return buf.Bytes(), nil
+	out := make(map[string][]byte, len(ps))
+	for _, p := range ps {
+		out[p.key()] = byID[p.ID]
+	}
+	return out, nil
 }
 
 // handler builds the route table (Go 1.22 method/path patterns) and
@@ -393,11 +379,10 @@ func (s *server) joinLocked(key string) (c *call, leader bool) {
 	return c, true
 }
 
-// admitted pushes one execution — a solo run or a whole batched
-// sweep — through admission control and runs fn. The execution's
-// context is bounded three ways: the caller's context (job
-// cancelled, or every batch waiter gone), the per-run timeout, and
-// the server's baseCtx (drain deadline expired).
+// admitted pushes one sweep through admission control and runs fn.
+// The sweep's context is bounded three ways: the caller's context
+// (job cancelled, or every batch waiter gone), the per-run timeout,
+// and the server's baseCtx (drain deadline expired).
 func (s *server) admitted(ctx context.Context, fn func(ctx context.Context) error) error {
 	select {
 	case s.waiting <- struct{}{}:
@@ -431,86 +416,136 @@ func (s *server) admitted(ctx context.Context, fn func(ctx context.Context) erro
 	return err
 }
 
-// admitAndRun executes one unbatched run under admission control,
-// with resumable checkpointing: a per-key ledger is bound to the
-// executing goroutine so the harness pool commits each completed
-// sub-run and experiment table as it goes. A cancelled, failed, or
-// drain-aborted attempt keeps its ledger; re-POSTing the same key
-// resumes from the committed progress (serve.resumes), re-executing
-// only unfinished tasks. The ledger is discarded on success — the
-// finished result lives in the main store. Batched sweeps (batch.go)
-// bypass checkpointing: their fan-out identity is the sweep, not one
-// run key.
-func (s *server) admitAndRun(ctx context.Context, p runParams) ([]byte, error) {
-	var data []byte
+// swept is one member's share of a successful sweep: its bytes and the
+// fraction of its tasks restored from checkpoint (0 for a cold run).
+type swept struct {
+	data        []byte
+	resumedFrom float64
+}
+
+// runSweep is the one executor behind every request: an unbatched
+// leader is a sweep of one, a batch window a sweep of its members.
+// Under admission control it opens (or recovers) one checkpoint ledger
+// per member key, binds them behind a ledgerRoute, runs sweepFn and
+// settles every ledger, so a member that failed, was aborted or was
+// killed resumes on its next attempt, alone or in any other window.
+func (s *server) runSweep(ctx context.Context, fam famKey, ps []runParams) (map[string]swept, error) {
+	out := make(map[string]swept, len(ps))
 	err := s.admitted(ctx, func(runCtx context.Context) error {
-		key := p.key()
-		led, resumed := s.ledgerFor(key)
-		var h0, c0 int64
-		if led != nil {
-			h0, c0 = led.Hits(), led.Commits()
-			if resumed {
+		route := ledgerRoute{}
+		leds := make([]*store.Ledger, len(ps))
+		for i, p := range ps {
+			leds[i] = s.ledgerFor(p.key())
+			if leds[i].Len() > 0 {
 				s.counter("serve.resumes").Add(1)
 			}
-			defer harness.BindLedger(led)()
+			if route[p.ID] == nil {
+				route[p.ID] = &idLedgers{}
+			}
+			route[p.ID].leds = append(route[p.ID].leds, leds[i])
 		}
-		var e error
-		data, e = s.cfg.runFn(runCtx, p)
-		if led != nil {
-			s.retireLedger(key, led, h0, c0, resumed, e)
+		defer harness.BindLedger(route)()
+		data, err := s.cfg.sweepFn(runCtx, fam, ps, s.cfg.jobs)
+		for i, p := range ps {
+			s.settleLedger(p.key(), leds[i], err == nil)
+			if err == nil {
+				out[p.key()] = swept{data: data[p.key()], resumedFrom: route[p.ID].resumedFrom()}
+			}
 		}
-		return e
+		return err
 	})
-	return data, err
+	return out, err
 }
 
-// ledgerFor returns the open checkpoint ledger for key (opening or
-// recovering it on first use) and whether this attempt resumes from
-// committed progress. A ledger that cannot open degrades to nil —
-// checkpointing is an optimisation, the run proceeds from scratch.
-func (s *server) ledgerFor(key string) (*store.Ledger, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if led, ok := s.ledgers[key]; ok {
-		return led, led.Len() > 0
-	}
-	led, err := store.OpenLedger(s.ckptDir, key)
-	if err != nil {
+// ledgerRoute is the harness.TaskLedger a sweep binds: member ledgers
+// by experiment id. Each label reaches only the members whose
+// experiment owns it (harness.LabelExperiment), whatever else shared
+// the window. Members sharing an id (seed is a replica salt) share its
+// tasks: a lookup takes the first hit, a commit goes to each.
+type ledgerRoute map[string]*idLedgers
+
+// idLedgers is the ledgers of one experiment id, with the sweep's
+// restored (hits) and executed (commits) task counts for it.
+type idLedgers struct {
+	leds          []*store.Ledger
+	hits, commits atomic.Int64
+}
+
+func (r ledgerRoute) Lookup(label string) ([]byte, bool) {
+	g := r[harness.LabelExperiment(label)]
+	if g == nil {
 		return nil, false
 	}
-	s.ledgers[key] = led
-	return led, led.Len() > 0
+	for _, led := range g.leds {
+		if data, ok := led.Lookup(label); ok {
+			g.hits.Add(1)
+			return data, true
+		}
+	}
+	return nil, false
 }
 
-// retireLedger settles a run attempt's ledger: on success the ledger
-// (and its file) is discarded and, for a resumed attempt, the
-// restored fraction hits/(hits+commits) of this attempt is recorded
-// for the job plane's resumed_from field. On failure the ledger stays
-// open so the next attempt on this key resumes.
-func (s *server) retireLedger(key string, led *store.Ledger, h0, c0 int64, resumed bool, runErr error) {
-	if runErr != nil {
+func (r ledgerRoute) Commit(label string, data []byte) error {
+	g := r[harness.LabelExperiment(label)]
+	if g == nil {
+		return fmt.Errorf("mhpcd: no sweep member owns checkpoint label %q", label)
+	}
+	g.commits.Add(1)
+	var errs []error
+	for _, led := range g.leds {
+		errs = append(errs, led.Commit(label, data))
+	}
+	return errors.Join(errs...)
+}
+
+// resumedFrom is the fraction of the id's tasks this sweep restored
+// rather than executed.
+func (g *idLedgers) resumedFrom() float64 {
+	h, c := g.hits.Load(), g.commits.Load()
+	if h == 0 {
+		return 0
+	}
+	return float64(h) / float64(h+c)
+}
+
+// ledgerFor returns the checkpoint ledger for key, opening or
+// recovering it on first use; a non-empty one means this attempt
+// resumes. A ledger file that cannot open degrades to a memory-only
+// ledger: checkpointing is an optimisation, never a requirement.
+func (s *server) ledgerFor(key string) *store.Ledger {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	led, ok := s.ledgers[key]
+	if !ok {
+		var err error
+		if led, err = store.OpenLedger(s.ckptDir, key); err != nil {
+			led, _ = store.OpenLedger("", key)
+		}
+		s.ledgers[key] = led
+	}
+	return led
+}
+
+// settleLedger ends one member's attempt. Success, or a failure with
+// nothing committed, discards the ledger. Otherwise a disk-backed
+// ledger is closed and unmapped — OpenLedger recovers its file next
+// time, as after a restart, so a failed key pins no descriptor — and
+// a memory-only one stays mapped: the map holds its only copy.
+func (s *server) settleLedger(key string, led *store.Ledger, ok bool) {
+	discard := ok || led.Len() == 0
+	if !discard && s.ckptDir == "" {
 		return
 	}
 	s.mu.Lock()
-	if resumed {
-		if dh, dc := led.Hits()-h0, led.Commits()-c0; dh+dc > 0 {
-			s.resumeFrac[key] = float64(dh) / float64(dh+dc)
-		}
+	if s.ledgers[key] == led {
+		delete(s.ledgers, key)
 	}
-	delete(s.ledgers, key)
 	s.mu.Unlock()
-	led.Discard()
-}
-
-// takeResumeFrac pops the recorded resume fraction for key, if any.
-func (s *server) takeResumeFrac(key string) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.resumeFrac[key]
-	if ok {
-		delete(s.resumeFrac, key)
+	if discard {
+		led.Discard()
+	} else {
+		led.Close()
 	}
-	return f, ok
 }
 
 // finish writes a success through to the result store, publishes the

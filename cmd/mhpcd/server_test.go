@@ -18,13 +18,30 @@ import (
 	"mobilehpc/internal/obs"
 )
 
-// testConfig returns a config with a fast fake runner: it echoes the
-// params and counts executions, optionally blocking until released.
+// testConfig returns a config whose sweeps render each member with
+// the fake runner run (echoRun, say, or one that blocks until
+// released).
 func testConfig(run func(ctx context.Context, p runParams) ([]byte, error)) serverConfig {
 	return serverConfig{
 		jobs: 1, concurrency: 2, queue: 2,
 		timeout: time.Second, cacheBytes: 1 << 20,
-		runFn: run,
+		sweepFn: perMember(run),
+	}
+}
+
+// perMember lifts a one-run fake into a sweep executor that renders
+// the members in order and fails the sweep on the first error.
+func perMember(run func(ctx context.Context, p runParams) ([]byte, error)) func(context.Context, famKey, []runParams, int) (map[string][]byte, error) {
+	return func(ctx context.Context, fam famKey, ps []runParams, jobs int) (map[string][]byte, error) {
+		out := make(map[string][]byte, len(ps))
+		for _, p := range ps {
+			b, err := run(ctx, p)
+			if err != nil {
+				return nil, err
+			}
+			out[p.key()] = b
+		}
+		return out, nil
 	}
 }
 

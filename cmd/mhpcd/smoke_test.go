@@ -4,9 +4,11 @@ package main
 // exercise the cache and admission paths over real HTTP, SIGTERM it
 // mid-run and require that the drain stores a run that finishes within
 // the grace, aborts one that does not (keeping its progress), and
-// exits 0, then run a coalescing daemon under concurrent jobs. Gated behind MHPC_SERVE_SMOKE=1 because it
-// compiles and forks servers — the Makefile serve-smoke target (wired
-// into `make check`) sets the gate.
+// exits 0, then run a coalescing daemon under concurrent jobs and
+// SIGKILL it mid-sweep: restarted on the same store dir, it resumes
+// the sweep from its ledgers. Gated behind MHPC_SERVE_SMOKE=1 because
+// it compiles and forks servers — the Makefile serve-smoke target
+// (wired into `make check`) sets the gate.
 
 import (
 	"context"
@@ -167,16 +169,21 @@ func TestServeSmoke(t *testing.T) {
 	// Coalescing: a -batch-window daemon under concurrent jobs over a
 	// few keys must merge them into sweeps and store, per key, exactly
 	// the bytes a solo in-process run renders.
-	bd := startMhpcd(t, bin, "-j", "2", "-concurrency", "2", "-queue", "16",
-		"-batch-window", "10ms", "-timeout", "5m", "-drain", "1s")
+	batchDir := filepath.Join(t.TempDir(), "batched")
+	startBatched := func() *daemon {
+		return startMhpcd(t, bin, "-j", "2", "-concurrency", "2", "-queue", "16",
+			"-batch-window", "10ms", "-store-dir", batchDir, "-timeout", "5m", "-drain", "1s")
+	}
+	bd := startBatched()
 	ids := []string{"table1", "table3", "fig7"}
 	want := map[string]string{}
 	for _, id := range ids {
-		b, err := runExperimentBytes(context.Background(), runParams{ID: id, Quick: true}, 2)
+		p := runParams{ID: id, Quick: true}
+		out, err := runSweepBytes(context.Background(), p.family(), []runParams{p}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[id] = string(b)
+		want[id] = string(out[p.key()])
 	}
 	paths := make([]string, 12)
 	for i := range paths {
@@ -194,5 +201,35 @@ func TestServeSmoke(t *testing.T) {
 	if m := metric(t, bd.base, "mhpc_serve_batches_total"); m <= 0 {
 		t.Errorf("serve.batches = %d, want > 0", m)
 	}
-	bd.stop(t)
+
+	// Kill mid-sweep: SIGKILL the batched daemon once a full-size
+	// fig6+green500 sweep has committed a task, restart it on the same
+	// store dir and resubmit. The rerun must resume from the ledgers
+	// and store the bytes of an uninterrupted sweep (fresh seeds, same
+	// simulations).
+	killed := []string{"/run/fig6?seed=21", "/run/green500?seed=21"}
+	commits := metric(t, bd.base, "mhpc_ckpt_commits_total")
+	for _, p := range killed {
+		postJob(t, bd.base, p)
+	}
+	waitMetric(t, bd.base, "mhpc_ckpt_commits_total", commits+1)
+	if err := bd.cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	<-bd.exited
+	bd2 := startBatched()
+	resumed := runJobs(t, bd2.base, killed)
+	fresh := runJobs(t, bd2.base, []string{"/run/fig6?seed=22", "/run/green500?seed=22"})
+	for i, st := range resumed {
+		if st.State != string(jobDone) || fresh[i].State != string(jobDone) {
+			t.Fatalf("%s after the kill: state %q (%s), fresh %q (%s)", killed[i], st.State, st.Error, fresh[i].State, fresh[i].Error)
+		}
+		if fetchResult(t, bd2.base, st.ResultKey).Output != fetchResult(t, bd2.base, fresh[i].ResultKey).Output {
+			t.Errorf("%s: resumed bytes differ from an uninterrupted sweep", killed[i])
+		}
+	}
+	if m := metric(t, bd2.base, "mhpc_serve_resumes_total"); m <= 0 {
+		t.Errorf("serve.resumes = %d after a SIGKILL mid-sweep, want > 0", m)
+	}
+	bd2.stop(t)
 }

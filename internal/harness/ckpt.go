@@ -22,6 +22,7 @@ package harness
 import (
 	"encoding/json"
 	"runtime"
+	"strings"
 	"sync"
 )
 
@@ -63,6 +64,21 @@ func BindLedger(l TaskLedger) (unbind func()) {
 		delete(ledgerReg.m, id)
 		ledgerReg.mu.Unlock()
 	}
+}
+
+// LabelExperiment returns the id of the experiment that owns a task
+// label, or "" for a label of another shape. The pool labels every
+// checkpointed task "<category>/<name>", and every name starts with
+// the id of the experiment that runs it: "experiment/fig6" is the
+// whole table, "subrun/fig6/n=48" one of its sub-runs. A ledger
+// shared by several runs routes each label to its owner by this id.
+func LabelExperiment(label string) string {
+	_, rest, ok := strings.Cut(label, "/")
+	if !ok {
+		return ""
+	}
+	id, _, _ := strings.Cut(rest, "/")
+	return id
 }
 
 // BoundLedger returns the ledger bound to the calling goroutine, or

@@ -245,3 +245,54 @@ func TestTablesResumeByteIdentical(t *testing.T) {
 		t.Fatal("sub-run-level resume diverged from uninterrupted run")
 	}
 }
+
+// TestLabelExperiment pins the label grammar the helper parses.
+func TestLabelExperiment(t *testing.T) {
+	for label, want := range map[string]string{
+		"experiment/fig6":                 "fig6",
+		"subrun/fig6/n=48":                "fig6",
+		"subrun/fig7sweep/lat/64B":        "fig7sweep",
+		"subrun/hetero/uniform":           "hetero",
+		"subrun/faultsweep/mtbf=1/x2/deg": "faultsweep",
+		"fig6":                            "",
+		"":                                "",
+	} {
+		if got := LabelExperiment(label); got != want {
+			t.Errorf("LabelExperiment(%q) = %q, want %q", label, got, want)
+		}
+	}
+}
+
+// TestEveryLabelNamesItsExperiment: a ledger shared by the runs of a
+// batched sweep routes each checkpoint label to the run that owns it
+// by LabelExperiment, so every label any experiment commits must name
+// that experiment. Each experiment runs solo under a recording
+// ledger — the quick registry always, the full one outside -short.
+func TestEveryLabelNamesItsExperiment(t *testing.T) {
+	sizes := []bool{true}
+	if !testing.Short() {
+		sizes = append(sizes, false)
+	}
+	for _, quick := range sizes {
+		labels := 0
+		for _, e := range Experiments() {
+			led := newMemLedger()
+			unbind := BindLedger(led)
+			_, err := Tables([]string{e.ID}, Options{Quick: quick, Jobs: 2})
+			unbind()
+			if err != nil {
+				t.Fatalf("quick=%v %s: %v", quick, e.ID, err)
+			}
+			if len(led.commits) == 0 {
+				t.Errorf("quick=%v %s committed nothing", quick, e.ID)
+			}
+			for _, label := range led.commits {
+				if got := LabelExperiment(label); got != e.ID {
+					t.Errorf("quick=%v %s committed %q, owned by %q", quick, e.ID, label, got)
+				}
+			}
+			labels += len(led.commits)
+		}
+		t.Logf("quick=%v: %d labels over %d experiments", quick, labels, len(Experiments()))
+	}
+}

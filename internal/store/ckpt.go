@@ -23,8 +23,9 @@ package store
 // SHA-256 (labels are free-form task paths like "subrun/fig6/n=48"),
 // size and sha256hex describe the decoded payload, payload-b64 is the
 // standard-base64 payload ("-" when empty), and the trailing crc32
-// (IEEE) covers the five preceding fields exactly as written. Replay
-// uses the same damage rules as the store's index journal: a short,
+// (IEEE) covers the five preceding fields exactly as written: the
+// store's index journal and this ledger share one checked-line codec
+// (journal.go), so replay has the same damage rules: a short,
 // malformed, mischecksummed, or torn line is dropped and replay
 // continues — committed lines before a kill always survive. Within
 // one file the last valid line for a label wins, so a re-executed
@@ -34,17 +35,13 @@ package store
 // right after Commit returns can only tear *later* lines.
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -81,22 +78,15 @@ func ckptLine(lh string, data []byte) []byte {
 	if len(data) > 0 {
 		b64 = base64.StdEncoding.EncodeToString(data)
 	}
-	sum := sha256.Sum256(data)
-	body := fmt.Sprintf("%s %s %d %s %s", ckptMagic, lh, len(data), hex.EncodeToString(sum[:]), b64)
-	return []byte(fmt.Sprintf("%s %08x\n", body, crc32.ChecksumIEEE([]byte(body))))
+	return checkedLine(ckptMagic, lh, strconv.Itoa(len(data)), sumHexOf(data), b64)
 }
 
 // parseCkptLine decodes one line (without its newline), returning the
 // label hash and payload. ok=false for anything that does not
 // round-trip through ckptLine — the torn-tail shapes a kill leaves.
 func parseCkptLine(line string) (lh string, data []byte, ok bool) {
-	f := strings.Split(line, " ")
-	if len(f) != 6 || f[0] != ckptMagic {
-		return "", nil, false
-	}
-	body := strings.Join(f[:5], " ")
-	crc, err := strconv.ParseUint(f[5], 16, 32)
-	if err != nil || uint32(crc) != crc32.ChecksumIEEE([]byte(body)) {
+	f, ok := parseChecked(line, 5)
+	if !ok || f[0] != ckptMagic {
 		return "", nil, false
 	}
 	lh = f[1]
@@ -110,19 +100,13 @@ func parseCkptLine(line string) (lh string, data []byte, ok bool) {
 	if len(f[3]) != 64 || !validKey(f[3]) {
 		return "", nil, false
 	}
-	if f[4] == "-" {
-		data = nil
-	} else {
+	if f[4] != "-" {
 		data, err = base64.StdEncoding.DecodeString(f[4])
 		if err != nil {
 			return "", nil, false
 		}
 	}
-	if int64(len(data)) != size {
-		return "", nil, false
-	}
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:]) != f[3] {
+	if int64(len(data)) != size || sumHexOf(data) != f[3] {
 		return "", nil, false
 	}
 	return lh, data, true
@@ -151,18 +135,14 @@ func OpenLedger(dir, runKey string) (*Ledger, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	l.path = filepath.Join(dir, runKey+".ckpt")
-	if raw, err := os.ReadFile(l.path); err == nil {
-		sc := bufio.NewScanner(bytes.NewReader(raw))
-		sc.Buffer(make([]byte, 4096), maxCkptLine)
-		for sc.Scan() {
-			if lh, data, ok := parseCkptLine(sc.Text()); ok {
-				l.entries[lh] = data
-			}
+	if _, err := replayLines(l.path, maxCkptLine, func(line string) bool {
+		lh, data, ok := parseCkptLine(line)
+		if ok {
+			l.entries[lh] = data
 		}
-		// A scanner error (over-long line) ends replay: everything
-		// before it already parsed, the tail is damage.
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: %w", err)
+		return ok
+	}); err != nil {
+		return nil, err
 	}
 	l.prior = len(l.entries)
 	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)

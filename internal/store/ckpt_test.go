@@ -207,3 +207,63 @@ func TestLedgerNamespaceInvisibleToStore(t *testing.T) {
 		t.Fatalf("ledger prior = %d, want 1 (store recovery must not sweep partials/)", l2.Prior())
 	}
 }
+
+// TestLineBytesPinned: the journal and ledger lines share one codec,
+// and their bytes on disk are a compatibility contract — a store or
+// ledger written by an older build must still replay. The literals
+// below were rendered by the separate per-format encoders the shared
+// codec replaced; each must also parse back to what was encoded.
+func TestLineBytesPinned(t *testing.T) {
+	const key = "0123456789abcdef"
+	sum := sumHexOf([]byte("payload"))
+	journal := []struct {
+		line []byte
+		want string
+		op   string
+	}{
+		{putLine(key, 7, sum), "v1 put 0123456789abcdef 7 239f59ed55e737c77147cf55ad0c1b030b6d7ee748a7426952f9b852d5a935e5 62b2aeeb\n", "put"},
+		{touchLine(key), "v1 get 0123456789abcdef 0 - 00c2d381\n", "get"},
+		{delLine(key), "v1 del 0123456789abcdef 0 - 486816e8\n", "del"},
+	}
+	for _, c := range journal {
+		if string(c.line) != c.want {
+			t.Errorf("journal line = %q, want %q", c.line, c.want)
+		}
+		op, rec, ok := parseJournalLine(strings.TrimSuffix(c.want, "\n"))
+		if !ok || op != c.op || rec.key != key {
+			t.Errorf("parse %q = %q %+v %v", c.want, op, rec, ok)
+		}
+	}
+
+	ledger := []struct {
+		label string
+		data  string
+		want  string
+	}{
+		{"subrun/fig6/n=48", "rows", "mhpc-ckpt/v1 b432974bd33c8f90 4 bc51e9e65d79e1c90ba544ab2eae1044ccdf8c1af7a559ba375cba4276f7d99e cm93cw== 93e6de42\n"},
+		{"experiment/table1", "", "mhpc-ckpt/v1 9ab48f510c9894ff 0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 - b34afbcd\n"},
+	}
+	dir := t.TempDir()
+	l, err := OpenLedger(dir, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file string
+	for _, c := range ledger {
+		if got := ckptLine(labelHash(c.label), []byte(c.data)); string(got) != c.want {
+			t.Errorf("ledger line = %q, want %q", got, c.want)
+		}
+		lh, data, ok := parseCkptLine(strings.TrimSuffix(c.want, "\n"))
+		if !ok || lh != labelHash(c.label) || string(data) != c.data {
+			t.Errorf("parse %q = %q %q %v", c.want, lh, data, ok)
+		}
+		if err := l.Commit(c.label, []byte(c.data)); err != nil {
+			t.Fatal(err)
+		}
+		file += c.want
+	}
+	l.Close()
+	if raw, err := os.ReadFile(filepath.Join(dir, key+".ckpt")); err != nil || string(raw) != file {
+		t.Errorf("ledger file = %q (%v), want %q", raw, err, file)
+	}
+}

@@ -1,6 +1,8 @@
 package store
 
-// The index-journal and entry-file formats. Both are line-headed text
+// The index-journal and entry-file formats, and the checked-line codec
+// the journal shares with the checkpoint ledger (ckpt.go). Both
+// formats are line-headed text
 // so a human (and the crash tests) can read a store directory with
 // cat, and both are self-checking so a torn write is detected rather
 // than believed.
@@ -35,6 +37,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -67,26 +70,69 @@ func validKey(key string) bool {
 	return true
 }
 
-// journalLine renders one checked line.
-func journalLine(op, key string, size int64, sum string) []byte {
-	body := fmt.Sprintf("v1 %s %s %d %s", op, key, size, sum)
-	return []byte(fmt.Sprintf("%s %08x\n", body, crc32.ChecksumIEEE([]byte(body))))
+// checkedLine renders one self-checking line, the format shared by
+// the index journal and the checkpoint ledger: the fields joined by
+// spaces, then the crc32 (IEEE) of exactly those bytes as eight hex
+// digits, then a newline.
+func checkedLine(fields ...string) []byte {
+	body := strings.Join(fields, " ")
+	return fmt.Appendf(nil, "%s %08x\n", body, crc32.ChecksumIEEE([]byte(body)))
 }
 
-func putLine(key string, size int64, sum string) []byte { return journalLine("put", key, size, sum) }
-func touchLine(key string) []byte                       { return journalLine("get", key, 0, "-") }
-func delLine(key string) []byte                         { return journalLine("del", key, 0, "-") }
+// parseChecked splits one line (without its newline) into its n body
+// fields, or ok=false unless a crc that matches them follows: torn and
+// bit-flipped lines fail here, each format checks its own fields.
+func parseChecked(line string, n int) (fields []string, ok bool) {
+	f := strings.Split(line, " ")
+	if len(f) != n+1 {
+		return nil, false
+	}
+	body := line[:len(line)-len(f[n])-1]
+	crc, err := strconv.ParseUint(f[n], 16, 32)
+	if err != nil || uint32(crc) != crc32.ChecksumIEEE([]byte(body)) {
+		return nil, false
+	}
+	return f[:n], true
+}
+
+// replayLines feeds each line of the file at path to parse, in order,
+// and counts the lines it rejects. A missing file replays nothing. A
+// line longer than max bytes or a read error ends replay and counts as
+// one more dropped line: everything before it already parsed, the tail
+// is damage. Only a failed open is an error.
+func replayLines(path string, max int, parse func(line string) bool) (dropped int, err error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 4096), max)
+	for sc.Scan() {
+		if !parse(sc.Text()) {
+			dropped++
+		}
+	}
+	if sc.Err() != nil {
+		dropped++
+	}
+	return dropped, nil
+}
+
+func putLine(key string, size int64, sum string) []byte {
+	return checkedLine("v1", "put", key, strconv.FormatInt(size, 10), sum)
+}
+func touchLine(key string) []byte { return checkedLine("v1", "get", key, "0", "-") }
+func delLine(key string) []byte   { return checkedLine("v1", "del", key, "0", "-") }
 
 // parseJournalLine decodes one line (without its newline). It returns
-// ok=false for anything that does not round-trip through journalLine.
+// ok=false for anything putLine, touchLine or delLine did not render.
 func parseJournalLine(line string) (op string, rec journalRec, ok bool) {
-	f := strings.Split(line, " ")
-	if len(f) != 6 || f[0] != "v1" {
-		return "", journalRec{}, false
-	}
-	body := strings.Join(f[:5], " ")
-	crc, err := strconv.ParseUint(f[5], 16, 32)
-	if err != nil || uint32(crc) != crc32.ChecksumIEEE([]byte(body)) {
+	f, ok := parseChecked(line, 5)
+	if !ok || f[0] != "v1" {
 		return "", journalRec{}, false
 	}
 	op = f[1]
@@ -96,12 +142,9 @@ func parseJournalLine(line string) (op string, rec journalRec, ok bool) {
 	}
 	switch op {
 	case "put":
-		rec.size, err = strconv.ParseInt(f[3], 10, 64)
-		if err != nil || rec.size < 0 {
-			return "", journalRec{}, false
-		}
-		rec.sum = f[4]
-		if len(rec.sum) != 64 || !validKey(rec.sum) {
+		size, err := strconv.ParseInt(f[3], 10, 64)
+		rec.size, rec.sum = size, f[4]
+		if err != nil || size < 0 || len(rec.sum) != 64 || !validKey(rec.sum) {
 			return "", journalRec{}, false
 		}
 	case "get", "del":
@@ -121,17 +164,8 @@ const maxJournalLine = 1 << 16
 // readJournal replays path into the surviving records in LRU -> MRU
 // order, plus the count of dropped (torn/malformed) lines. A missing
 // journal is an empty store, not an error; replay itself never fails
-// on content — only the read can error.
+// on content — only the open can error.
 func readJournal(path string) (recs []journalRec, dropped int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, nil
-		}
-		return nil, 0, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-
 	// Replay into an order-tracking map: put inserts/refreshes at MRU,
 	// get touches to MRU, del removes; last op wins for duplicates.
 	type node struct {
@@ -140,13 +174,10 @@ func readJournal(path string) (recs []journalRec, dropped int, err error) {
 	}
 	live := map[string]*node{}
 	seq := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 4096), maxJournalLine)
-	for sc.Scan() {
-		op, rec, ok := parseJournalLine(sc.Text())
+	dropped, err = replayLines(path, maxJournalLine, func(line string) bool {
+		op, rec, ok := parseJournalLine(line)
 		if !ok {
-			dropped++
-			continue
+			return false
 		}
 		seq++
 		switch op {
@@ -159,28 +190,22 @@ func readJournal(path string) (recs []journalRec, dropped int, err error) {
 		case "del":
 			delete(live, rec.key)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		// A single over-long line (or a read error) ends replay:
-		// everything before it already parsed, the tail is damage.
-		dropped++
+		return true
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 
-	out := make([]journalRec, 0, len(live))
 	order := make([]*node, 0, len(live))
 	for _, n := range live {
 		order = append(order, n)
 	}
-	// Sort ascending by last-touch sequence: LRU first.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && order[j-1].seq > order[j].seq; j-- {
-			order[j-1], order[j] = order[j], order[j-1]
-		}
-	}
+	// Ascending by last-touch sequence: LRU first.
+	slices.SortFunc(order, func(a, b *node) int { return a.seq - b.seq })
 	for _, n := range order {
-		out = append(out, n.rec)
+		recs = append(recs, n.rec)
 	}
-	return out, dropped, nil
+	return recs, dropped, nil
 }
 
 // encodeEntry renders one entry file: checked header, then payload.
@@ -219,7 +244,8 @@ func parseEntry(raw []byte) (key string, payload []byte, sumHex string, err erro
 	return f[1], payload, f[3], nil
 }
 
-// sumHexOf is sugar for the tests: the hex SHA-256 of data.
+// sumHexOf returns the hex SHA-256 of data: the checksum every entry
+// file, journal put line and ledger line declares.
 func sumHexOf(data []byte) string {
 	s := sha256.Sum256(data)
 	return hex.EncodeToString(s[:])

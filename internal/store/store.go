@@ -47,8 +47,6 @@ package store
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -90,10 +88,13 @@ type entry struct {
 // selects the memory-only mode (the write-through layer without the
 // disk under it); otherwise the directory is created if absent and
 // surviving entries are recovered as described in the package
-// comment. maxBytes <= 0 disables storage entirely: every Get misses
-// and every Put is dropped, mirroring mhpcd's historic `-cache 0`.
-// col may be nil (metrics become no-ops).
+// comment. maxBytes must be positive: a store that keeps nothing is
+// refused, not silently emulated. col may be nil (metrics become
+// no-ops).
 func Open(dir string, maxBytes int64, col *obs.Collector) (*Store, error) {
+	if maxBytes <= 0 {
+		return nil, fmt.Errorf("store: byte budget %d: want a positive byte count", maxBytes)
+	}
 	s := &Store{
 		dir:      dir,
 		maxBytes: maxBytes,
@@ -111,7 +112,7 @@ func Open(dir string, maxBytes int64, col *obs.Collector) (*Store, error) {
 		bytesG:    col.Gauge("store.bytes"),
 		entriesG:  col.Gauge("store.entries"),
 	}
-	if dir == "" || maxBytes <= 0 {
+	if dir == "" {
 		return s, nil
 	}
 	if err := os.MkdirAll(s.entriesDir(), 0o777); err != nil {
@@ -214,8 +215,7 @@ func (s *Store) loadEntry(rec journalRec) (data []byte, sum string, ok bool) {
 	if rec.size != int64(len(payload)) || rec.sum != hdrSum {
 		return nil, "", false
 	}
-	got := sha256.Sum256(payload)
-	if hex.EncodeToString(got[:]) != hdrSum {
+	if sumHexOf(payload) != hdrSum {
 		return nil, "", false
 	}
 	return payload, hdrSum, true
@@ -258,16 +258,16 @@ func (s *Store) Peek(key string) ([]byte, bool) {
 // Put stores data under key, evicting strict-LRU entries until the
 // byte budget holds. A key that is already present is touched, not
 // rewritten (values are content-addressed: same key, same bytes). A
-// value larger than the whole budget is dropped — storing it would
-// require exceeding the budget, which Put never does.
+// value larger than the whole budget is an error and evicts nothing —
+// storing it would require exceeding the budget, which Put never does.
 func (s *Store) Put(key string, data []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.maxBytes <= 0 || int64(len(data)) > s.maxBytes {
-		return nil
+	if int64(len(data)) > s.maxBytes {
+		return fmt.Errorf("store: %d-byte value exceeds the %d-byte result-store budget", len(data), s.maxBytes)
 	}
 	if e, ok := s.entries[key]; ok {
 		s.lru.MoveToFront(e.elem)
@@ -277,8 +277,7 @@ func (s *Store) Put(key string, data []byte) error {
 		return nil
 	}
 
-	sum := sha256.Sum256(data)
-	sumHex := hex.EncodeToString(sum[:])
+	sumHex := sumHexOf(data)
 	if s.journal != nil {
 		if err := core.WriteFileAtomic(s.entryPath(key), encodeEntry(key, data, sumHex)); err != nil {
 			return fmt.Errorf("store: writing entry: %w", err)

@@ -134,15 +134,16 @@ func TestEvictionIsStrictLRUNotFIFO(t *testing.T) {
 	}
 }
 
-// A value larger than the whole budget is dropped, never stored over
-// budget, and evicts nothing.
-func TestOversizeValueIsDropped(t *testing.T) {
+// A value larger than the whole budget is refused with an error,
+// never stored over budget, and evicts nothing.
+func TestOversizeValueIsRefused(t *testing.T) {
 	s := openT(t, t.TempDir(), 16)
 	if err := s.Put(k(1), []byte("small")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(k(2), []byte("this value is far larger than the byte budget")); err != nil {
-		t.Fatal(err)
+	err := s.Put(k(2), []byte("this value is far larger than the byte budget"))
+	if err == nil || !strings.Contains(err.Error(), "exceeds the 16-byte") {
+		t.Errorf("oversize put: err %v, want a budget error", err)
 	}
 	if _, ok := s.Get(k(2)); ok {
 		t.Error("oversize value was stored")
@@ -152,14 +153,16 @@ func TestOversizeValueIsDropped(t *testing.T) {
 	}
 }
 
-// Zero budget disables the store entirely (mirrors -cache 0).
-func TestZeroBudgetDisables(t *testing.T) {
-	s := openT(t, "", 0)
-	if err := s.Put(k(1), []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get(k(1)); ok {
-		t.Error("disabled store served a value")
+// A store that could keep nothing is refused at Open, in memory and
+// on disk.
+func TestNonPositiveBudgetRefused(t *testing.T) {
+	for _, budget := range []int64{0, -1} {
+		for _, dir := range []string{"", t.TempDir()} {
+			if s, err := Open(dir, budget, nil); err == nil {
+				s.Close()
+				t.Errorf("Open(%q, %d) accepted a budget that keeps nothing", dir, budget)
+			}
+		}
 	}
 }
 
