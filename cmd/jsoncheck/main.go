@@ -37,7 +37,7 @@ import (
 	"os"
 	"strings"
 
-	"mobilehpc/internal/core"
+	"mobilehpc/internal/cliflag"
 	"mobilehpc/internal/obs"
 )
 
@@ -55,7 +55,7 @@ func main() {
 		}
 		return
 	}
-	if err := core.PositiveInt("max-bytes", *maxBytes); err != nil {
+	if err := cliflag.PositiveInt("max-bytes", *maxBytes); err != nil {
 		fmt.Fprintf(os.Stderr, "jsoncheck: %v\n", err)
 		os.Exit(2)
 	}

@@ -11,7 +11,9 @@
 //	                           run weak-scaled HPL on Tibidabo; -faults adds a
 //	                           checkpointed production run with §6.1/§6.3 fault
 //	                           injection from seed S (deterministic per seed)
-//	mhpc trace [-nodes N]      traced run + Paraver/Scalasca-style analysis
+//	mhpc trace [-nodes N] [-steps S]
+//	                           traced run + Paraver/Scalasca-style analysis
+//	                           and its communication matrix
 //	mhpc tune [-n N]           ATLAS-style gemm block autotuning on this host
 //
 // run and all accept -j N to execute experiments on a worker pool of N
@@ -55,11 +57,13 @@ import (
 	"syscall"
 	"time"
 
+	"mobilehpc/internal/apps/hpl"
+	"mobilehpc/internal/cliflag"
 	"mobilehpc/internal/cluster"
-	"mobilehpc/internal/core"
 	"mobilehpc/internal/faults"
 	"mobilehpc/internal/harness"
 	"mobilehpc/internal/linalg"
+	"mobilehpc/internal/metrics"
 	"mobilehpc/internal/mpi"
 	"mobilehpc/internal/obs"
 	"mobilehpc/internal/perf"
@@ -69,7 +73,7 @@ import (
 )
 
 // defaultJobsSpec is the textual -j default: the MHPC_PARALLEL
-// environment variable when set (validated by core.ParseJobs when the
+// environment variable when set (validated by cliflag.ParseJobs when the
 // command runs, so garbage in the environment is an error, not a
 // silent fallback), else "1" — the serial legacy path.
 func defaultJobsSpec() string {
@@ -148,9 +152,9 @@ func main() {
 	case "all":
 		err = all(os.Args[2:])
 	case "hpl":
-		err = runHPL(os.Args[2:])
+		err = runHPL(os.Stdout, os.Args[2:])
 	case "trace":
-		err = runTrace(os.Args[2:])
+		err = runTrace(os.Stdout, os.Args[2:])
 	case "tune":
 		err = runTune(os.Args[2:])
 	case "-h", "--help", "help":
@@ -175,7 +179,8 @@ func usage() {
                                    weak-scaled HPL + Green500 metric; -faults
                                    adds a fault-injected checkpointed run
                                    (§6.1/§6.3), deterministic per -fault-seed
-  mhpc trace [-nodes N] [-steps S] traced run with timeline + bottleneck analysis
+  mhpc trace [-nodes N] [-steps S] traced run with timeline, bottleneck analysis
+                                   and communication matrix
   mhpc tune [-n N]                 ATLAS-style gemm autotuning on this host
 
 -j N runs experiments on a pool of N workers (a positive integer, or
@@ -248,7 +253,7 @@ func startTelemetry(tf *telemetryFlags, command string, jobs int, quick bool) *t
 	c.SetMeta("command", command)
 	c.SetMeta("jobs", strconv.Itoa(jobs))
 	c.SetMeta("quick", strconv.FormatBool(quick))
-	c.SetMeta("experiments", strconv.Itoa(len(core.Experiments())))
+	c.SetMeta("experiments", strconv.Itoa(len(harness.Experiments())))
 	if *tf.verbose {
 		c.SetVerbose(os.Stderr)
 	}
@@ -330,16 +335,16 @@ func (t *telemetry) finish() error {
 }
 
 // writeFileWith streams write(f) into path atomically
-// (temp file + fsync + rename, via core.AtomicWriteFile), so a crash
+// (temp file + fsync + rename, via store.AtomicWriteFile), so a crash
 // or write error mid-export can never leave a truncated JSON artifact
 // where downstream tools (jsoncheck, chrome://tracing) would choke on
 // it.
 func writeFileWith(path string, write func(w io.Writer) error) error {
-	return core.AtomicWriteFile(path, write)
+	return store.AtomicWriteFile(path, write)
 }
 
 func list() error {
-	for _, e := range core.Experiments() {
+	for _, e := range harness.Experiments() {
 		fmt.Printf("%-10s %-55s (%s)\n", e.ID, e.Title, e.Paper)
 	}
 	return nil
@@ -358,7 +363,7 @@ func run(args []string) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("run: need at least one experiment id (try 'mhpc list')")
 	}
-	j, err := core.ParseJobs(*jobs)
+	j, err := cliflag.ParseJobs(*jobs)
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
 	}
@@ -405,7 +410,7 @@ func all(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	j, err := core.ParseJobs(*jobs)
+	j, err := cliflag.ParseJobs(*jobs)
 	if err != nil {
 		return fmt.Errorf("all: %w", err)
 	}
@@ -431,16 +436,20 @@ func all(args []string) error {
 	return err
 }
 
-func runTrace(args []string) error {
+// runTrace runs a HYDRO-like halo-exchange loop on a Tibidabo slice
+// under the Paraver-style tracer and writes the rank timeline, the
+// state profile, the bottleneck findings and the communication matrix
+// of that one traced run to w.
+func runTrace(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	nodes := fs.Int("nodes", 8, "Tibidabo nodes")
 	steps := fs.Int("steps", 5, "time steps")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := core.FirstError(
-		core.PositiveInt("nodes", *nodes),
-		core.PositiveInt("steps", *steps),
+	if err := cliflag.FirstError(
+		cliflag.PositiveInt("nodes", *nodes),
+		cliflag.PositiveInt("steps", *steps),
 	); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
@@ -448,7 +457,7 @@ func runTrace(args []string) error {
 	grid := 2048
 	cells := float64(grid) * float64(grid) / float64(*nodes)
 	halo := grid * 8 * 4
-	tr, end := mpi.RunTraced(cl, *nodes, func(r *mpi.Rank) {
+	tr, comm, end := mpi.RunTraced(cl, *nodes, func(r *mpi.Rank) {
 		me := r.ID()
 		for s := 0; s < *steps; s++ {
 			r.AllreduceF64(1.0, math.Max)
@@ -467,16 +476,28 @@ func runTrace(args []string) error {
 			}, 2)
 		}
 	})
-	fmt.Printf("traced HYDRO-like run: %d nodes, %d steps, %.3f s simulated\n\n", *nodes, *steps, end)
-	if err := tr.Timeline(os.Stdout, 100); err != nil {
+	fmt.Fprintf(w, "traced HYDRO-like run: %d nodes, %d steps, %.3f s simulated\n\n", *nodes, *steps, end)
+	if err := tr.Timeline(w, 100); err != nil {
 		return err
 	}
-	fmt.Println()
-	if err := tr.Report(os.Stdout); err != nil {
+	fmt.Fprintln(w)
+	if err := tr.Report(w); err != nil {
 		return err
 	}
-	fmt.Println()
-	return tr.ReportFindings(os.Stdout)
+	fmt.Fprintln(w)
+	if err := tr.ReportFindings(w); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "communication matrix (bytes sent, src rows x dst cols):")
+	for _, row := range comm.CommMatrix() {
+		for _, b := range row {
+			fmt.Fprintf(w, " %8d", b)
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintf(w, "total %d bytes in %d messages\n", comm.BytesSent, comm.Msgs)
+	return nil
 }
 
 func runTune(args []string) error {
@@ -486,9 +507,9 @@ func runTune(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := core.FirstError(
-		core.PositiveInt("n", *n),
-		core.PositiveInt("reps", *reps),
+	if err := cliflag.FirstError(
+		cliflag.PositiveInt("n", *n),
+		cliflag.PositiveInt("reps", *reps),
 	); err != nil {
 		return fmt.Errorf("tune: %w", err)
 	}
@@ -505,7 +526,10 @@ func runTune(args []string) error {
 	return nil
 }
 
-func runHPL(args []string) error {
+// runHPL runs the §4 weak-scaled HPL on a Tibidabo slice and writes
+// its performance, residual check and Green500 metric to w, plus the
+// fault-injected production run with -faults.
+func runHPL(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("hpl", flag.ExitOnError)
 	nodes := fs.Int("nodes", 96, "Tibidabo nodes")
 	withFaults := fs.Bool("faults", false, "inject §6.1/§6.3 faults into a checkpointed production run")
@@ -514,21 +538,23 @@ func runHPL(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := core.FirstError(
-		core.PositiveInt("nodes", *nodes),
-		core.PositiveFloat("hours", *hours),
+	if err := cliflag.FirstError(
+		cliflag.PositiveInt("nodes", *nodes),
+		cliflag.PositiveFloat("hours", *hours),
 	); err != nil {
 		return fmt.Errorf("hpl: %w", err)
 	}
 	n := int(8192 * math.Sqrt(float64(*nodes)))
-	r, mpw := core.TibidaboHPL(*nodes, n)
-	fmt.Printf("Tibidabo HPL: %d nodes, N=%d\n", r.Nodes, r.N)
-	fmt.Printf("  %.1f GFLOPS, efficiency %.1f%%, residual %.3f (valid=%v)\n",
+	cl := cluster.Tibidabo(*nodes)
+	r := hpl.Run(cl, *nodes, hpl.Config{N: n, RealN: 64})
+	fmt.Fprintf(w, "Tibidabo HPL: %d nodes, N=%d\n", r.Nodes, r.N)
+	fmt.Fprintf(w, "  %.1f GFLOPS, efficiency %.1f%%, residual %.3f (valid=%v)\n",
 		r.GFLOPS, r.Efficiency*100, r.Residual, r.Valid)
-	fmt.Printf("  %.0f MFLOPS/W (paper: 97 GFLOPS, 51%%, 120 MFLOPS/W at 96 nodes)\n", mpw)
+	fmt.Fprintf(w, "  %.0f MFLOPS/W (paper: 97 GFLOPS, 51%%, 120 MFLOPS/W at 96 nodes)\n",
+		metrics.MFLOPSPerWatt(r.GFLOPS, cl.PowerW(2)))
 	if *withFaults {
-		fmt.Println()
-		return faultReport(os.Stdout, *nodes, *hours, *faultSeed)
+		fmt.Fprintln(w)
+		return faultReport(w, *nodes, *hours, *faultSeed)
 	}
 	return nil
 }

@@ -2,13 +2,15 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
-	"mobilehpc/internal/core"
+	"mobilehpc/internal/cliflag"
 )
 
 // The -j flag of run and all must accept positive integers and
@@ -66,8 +68,8 @@ func TestDefaultJobsSpec(t *testing.T) {
 	if got := defaultJobsSpec(); got != "garbage" {
 		t.Errorf("defaultJobsSpec must pass the raw value through, got %q", got)
 	}
-	if _, err := core.ParseJobs(defaultJobsSpec()); err == nil {
-		t.Error("garbage MHPC_PARALLEL must fail core.ParseJobs")
+	if _, err := cliflag.ParseJobs(defaultJobsSpec()); err == nil {
+		t.Error("garbage MHPC_PARALLEL must fail cliflag.ParseJobs")
 	}
 }
 
@@ -144,5 +146,76 @@ func TestFaultReportRejectsBadShape(t *testing.T) {
 	}
 	if err := faultReport(&b, 96, 0, 1); err == nil {
 		t.Error("0 hours: want error")
+	}
+}
+
+// mhpc trace prints the timeline, profile, findings and communication
+// matrix of one traced run, and the matrix accounts for every byte the
+// run's communicator sent.
+func TestRunTracePrintsAnalysisAndMatrix(t *testing.T) {
+	var b strings.Builder
+	if err := runTrace(&b, []string{"-nodes", "4", "-steps", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		"traced HYDRO-like run: 4 nodes, 2 steps",
+		"rank   0 |", "legend:", // timeline
+		"imbalance (max/mean compute)",      // profile
+		"no inefficiency patterns detected", // findings of a balanced ring
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("trace output missing %q:\n%s", want, out)
+		}
+	}
+	_, after, ok := strings.Cut(out, "communication matrix (bytes sent, src rows x dst cols):\n")
+	if !ok {
+		t.Fatal("no matrix")
+	}
+	lines := strings.Split(strings.TrimSpace(after), "\n")
+	if len(lines) != 5 {
+		t.Fatalf("want 4 matrix rows and a total line, got %d lines:\n%s", len(lines), after)
+	}
+	var sum int64
+	for src, line := range lines[:4] {
+		row := strings.Fields(line)
+		if len(row) != 4 {
+			t.Fatalf("matrix row %d has %d columns, want 4: %q", src, len(row), line)
+		}
+		for dst, f := range row {
+			v, err := strconv.ParseInt(f, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each step sends one 64 KiB halo to each ring neighbour.
+			if (dst == (src+1)%4 || dst == (src+3)%4) && v < 2*65536 {
+				t.Errorf("matrix[%d][%d] = %d, want at least the two steps' halo", src, dst, v)
+			}
+			sum += v
+		}
+	}
+	var total, msgs int64
+	if _, err := fmt.Sscanf(lines[4], "total %d bytes in %d messages", &total, &msgs); err != nil {
+		t.Fatalf("total line %q: %v", lines[4], err)
+	}
+	if sum != total || total <= 0 || msgs <= 0 {
+		t.Errorf("matrix sums to %d bytes, Comm.BytesSent is %d (%d messages)", sum, total, msgs)
+	}
+}
+
+// mhpc hpl prints the §4 run's residual check and Green500 metric.
+func TestRunHPLPrintsValidRunAndEfficiency(t *testing.T) {
+	var b strings.Builder
+	if err := runHPL(&b, []string{"-nodes", "4"}); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if !strings.Contains(out, "Tibidabo HPL: 4 nodes, N=16384") || !strings.Contains(out, "(valid=true)") {
+		t.Errorf("HPL run not reported valid:\n%s", out)
+	}
+	var mpw float64
+	_, rest, _ := strings.Cut(out, "(valid=true)\n")
+	if _, err := fmt.Sscanf(rest, "  %f MFLOPS/W", &mpw); err != nil || mpw <= 0 {
+		t.Errorf("MFLOPS/W = %v (%v), want positive:\n%s", mpw, err, out)
 	}
 }

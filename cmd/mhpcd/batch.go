@@ -21,9 +21,10 @@ package main
 //
 // Cancellation is per-waiter: a waiter whose context dies stops
 // listening (its own caller sees the cancellation) but the shared
-// sweep keeps running for the rest; only when the *last* waiter bails
-// is the sweep itself cancelled. A server drain still aborts sweeps
-// through baseCtx like any other run.
+// sweep keeps running for the rest, and still stores the departed
+// waiter's key (TestBatchCancelledWaiterKeyIsStored); only when the
+// *last* waiter bails is the sweep itself cancelled. A server drain
+// still aborts sweeps through baseCtx like any other run.
 
 import (
 	"context"

@@ -9,6 +9,7 @@ package main
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -190,20 +191,16 @@ func TestBatchWaiterCancelKeepsSweepAlive(t *testing.T) {
 
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
-	type reply struct {
-		data []byte
-		err  error
-	}
-	r1, r2 := make(chan reply, 1), make(chan reply, 1)
+	r1, r2 := make(chan error, 1), make(chan error, 1)
 	p1 := runParams{ID: "table1", Seed: 1, Quick: true}
 	p2 := runParams{ID: "table1", Seed: 2, Quick: true}
 	go func() {
-		out, err := s.batcher.submit(ctx1, p1)
-		r1 <- reply{out.data, err}
+		_, err := s.batcher.submit(ctx1, p1)
+		r1 <- err
 	}()
 	go func() {
-		out, err := s.batcher.submit(context.Background(), p2)
-		r2 <- reply{out.data, err}
+		_, err := s.batcher.submit(context.Background(), p2)
+		r2 <- err
 	}()
 
 	var sweepCtx context.Context
@@ -218,9 +215,9 @@ func TestBatchWaiterCancelKeepsSweepAlive(t *testing.T) {
 
 	cancel1()
 	select {
-	case rep := <-r1:
-		if !errors.Is(rep.err, context.Canceled) {
-			t.Fatalf("cancelled waiter got %v, want context.Canceled", rep.err)
+	case err := <-r1:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled waiter got %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled waiter never returned")
@@ -234,16 +231,56 @@ func TestBatchWaiterCancelKeepsSweepAlive(t *testing.T) {
 
 	close(bs.release)
 	select {
-	case rep := <-r2:
-		if rep.err != nil {
-			t.Fatalf("surviving waiter: %v", rep.err)
+	case err := <-r2:
+		if err != nil {
+			t.Fatalf("surviving waiter: %v", err)
 		}
 		want, _ := echoRun(context.Background(), p2)
-		if string(rep.data) != string(want) {
-			t.Fatalf("surviving waiter got %q, want %q", rep.data, want)
+		if res, _ := s.cachePeek(p2.key()); res.Output != string(want) {
+			t.Fatalf("surviving waiter's result is %q, want %q", res.Output, want)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("surviving waiter never returned")
+	}
+}
+
+// A waiter cancelled mid-sweep does not throw its key's finished work
+// away: the sweep goes on for the other waiter, stores both keys, and
+// resubmitting the cancelled key is a store hit, not a second run.
+func TestBatchCancelledWaiterKeyIsStored(t *testing.T) {
+	bs := newBlockingSweep()
+	cfg := batchedConfig(nil, 30*time.Millisecond, 32)
+	cfg.sweepFn = bs.fn
+	s := mustServer(t, cfg)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	j1, j2 := postJob(t, ts.URL, seededPath(1)), postJob(t, ts.URL, seededPath(2))
+	select {
+	case <-bs.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("sweep never started")
+	}
+	req, _ := http.NewRequest("DELETE", ts.URL+"/job/"+j1.Job, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitJobState(t, ts.URL, j1.Job, string(jobCancelled))
+
+	close(bs.release)
+	waitJobState(t, ts.URL, j2.Job, string(jobDone))
+	p1 := runParams{ID: "table1", Seed: 1, Quick: true}
+	if _, ok := s.store.Peek(p1.key()); !ok {
+		t.Fatal("the cancelled waiter's key was rendered but not stored")
+	}
+	runs := metric(t, ts.URL, "mhpc_serve_runs_total")
+	if st := runJob(t, ts.URL, seededPath(1)); st.State != string(jobDone) || !st.Cached {
+		t.Errorf("resubmitted key: state %q cached %v, want a done store hit", st.State, st.Cached)
+	}
+	if got := metric(t, ts.URL, "mhpc_serve_runs_total"); got != runs {
+		t.Errorf("serve.runs %d -> %d on resubmit, want no new run", runs, got)
 	}
 }
 

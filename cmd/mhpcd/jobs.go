@@ -263,7 +263,10 @@ func (s *server) executeJob(j *job) {
 		return
 	}
 	out, err := s.batcher.submit(j.ctx, j.params)
-	err = s.finish(j.key, j.params, c, out.data, err)
+	if err == nil {
+		err = out.err // a result the store cannot keep fails the run
+	}
+	s.finish(j.key, c, err)
 	j.complete(err, false, false, out.resumedFrom)
 }
 

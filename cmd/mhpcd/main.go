@@ -71,7 +71,7 @@ import (
 	"syscall"
 	"time"
 
-	"mobilehpc/internal/core"
+	"mobilehpc/internal/cliflag"
 	"mobilehpc/internal/obs"
 	"mobilehpc/internal/sim"
 )
@@ -102,18 +102,18 @@ func serve(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	j, err := core.ParseJobs(*jobs)
+	j, err := cliflag.ParseJobs(*jobs)
 	if err != nil {
 		return err
 	}
-	if err := core.FirstError(
-		core.PositiveInt("concurrency", *concurrency),
-		core.NonNegativeInt("queue", *queue),
-		core.PositiveInt("store-bytes", int(*storeBytes)),
-		core.PositiveInt("batch-max", *batchMax),
-		core.PositiveInt("job-history", *jobHistory),
-		core.PositiveFloat("timeout", timeout.Seconds()),
-		core.PositiveFloat("drain", drain.Seconds()),
+	if err := cliflag.FirstError(
+		cliflag.PositiveInt("concurrency", *concurrency),
+		cliflag.NonNegativeInt("queue", *queue),
+		cliflag.PositiveInt("store-bytes", int(*storeBytes)),
+		cliflag.PositiveInt("batch-max", *batchMax),
+		cliflag.PositiveInt("job-history", *jobHistory),
+		cliflag.PositiveFloat("timeout", timeout.Seconds()),
+		cliflag.PositiveFloat("drain", drain.Seconds()),
 	); err != nil {
 		return err
 	}

@@ -416,11 +416,12 @@ func (s *server) admitted(ctx context.Context, fn func(ctx context.Context) erro
 	return err
 }
 
-// swept is one member's share of a successful sweep: its bytes and the
-// fraction of its tasks restored from checkpoint (0 for a cold run).
+// swept is one member's share of a successful sweep: the fraction of
+// its tasks restored from checkpoint (0 for a cold run), and the error
+// of writing its result to the store.
 type swept struct {
-	data        []byte
 	resumedFrom float64
+	err         error
 }
 
 // runSweep is the one executor behind every request: an unbatched
@@ -429,6 +430,9 @@ type swept struct {
 // per member key, binds them behind a ledgerRoute, runs sweepFn and
 // settles every ledger, so a member that failed, was aborted or was
 // killed resumes on its next attempt, alone or in any other window.
+// A successful sweep writes every member's result to the store before
+// it discards that member's ledger, whether or not a waiter is still
+// listening, so finished work is never thrown away.
 func (s *server) runSweep(ctx context.Context, fam famKey, ps []runParams) (map[string]swept, error) {
 	out := make(map[string]swept, len(ps))
 	err := s.admitted(ctx, func(runCtx context.Context) error {
@@ -447,10 +451,11 @@ func (s *server) runSweep(ctx context.Context, fam famKey, ps []runParams) (map[
 		defer harness.BindLedger(route)()
 		data, err := s.cfg.sweepFn(runCtx, fam, ps, s.cfg.jobs)
 		for i, p := range ps {
-			s.settleLedger(p.key(), leds[i], err == nil)
 			if err == nil {
-				out[p.key()] = swept{data: data[p.key()], resumedFrom: route[p.ID].resumedFrom()}
+				out[p.key()] = swept{resumedFrom: route[p.ID].resumedFrom(),
+					err: s.cachePut(p.key(), p, data[p.key()])}
 			}
+			s.settleLedger(p.key(), leds[i], err == nil)
 		}
 		return err
 	})
@@ -548,21 +553,15 @@ func (s *server) settleLedger(key string, led *store.Ledger, ok bool) {
 	}
 }
 
-// finish writes a success through to the result store, publishes the
-// outcome to followers, retires the flight entry, and returns the
-// outcome: a result the store cannot keep fails the run. Store-put and
-// flight-retire happen under one critical section so a concurrent
-// request always sees the result in at least one of them.
-func (s *server) finish(key string, p runParams, c *call, data []byte, err error) error {
+// finish publishes the outcome to followers and retires the flight
+// entry. A success is already in the store (runSweep put it there), so
+// a concurrent request always sees the result in at least one of them.
+func (s *server) finish(key string, c *call, err error) {
 	s.mu.Lock()
-	if err == nil {
-		err = s.cachePut(key, p, data)
-	}
 	delete(s.flight, key)
 	s.mu.Unlock()
 	c.err = err
 	close(c.done)
-	return err
 }
 
 // parseRunParams decodes the run options: an optional JSON body

@@ -105,7 +105,7 @@ func TestAllgather(t *testing.T) {
 
 func TestAllgatherTracedAsOneCollective(t *testing.T) {
 	cl := testCluster(4)
-	tr, _ := RunTraced(cl, 4, func(r *Rank) {
+	tr, _, _ := RunTraced(cl, 4, func(r *Rank) {
 		r.Allgather(r.ID(), 64)
 	})
 	for _, p := range tr.Profiles() {

@@ -168,20 +168,18 @@ func (r *Rank) Node() *cluster.Node { return r.comm.Cl.Nodes[r.id] }
 // the virtual time at which the last rank finished. It panics if any
 // rank deadlocks (the simulation drains with live processes).
 func Run(cl *cluster.Cluster, n int, prog func(r *Rank)) float64 {
-	c, end := RunStats(cl, n, prog)
-	_ = c
+	_, end := RunStats(cl, n, prog)
 	return end
 }
 
-// RunTraced is Run with a Paraver-style trace of every rank's states
-// (see internal/trace); the per-message and per-compute intervals of
-// the run are recorded for post-mortem analysis, the §4 workflow that
-// uncovered Tibidabo's interconnect timeouts.
-func RunTraced(cl *cluster.Cluster, n int, prog func(r *Rank)) (*trace.Trace, float64) {
+// RunTraced is RunStats with a Paraver-style trace of every rank's
+// states (see internal/trace); the per-message and per-compute
+// intervals of the run are recorded for post-mortem analysis, the §4
+// workflow that uncovered Tibidabo's interconnect timeouts.
+func RunTraced(cl *cluster.Cluster, n int, prog func(r *Rank)) (*trace.Trace, *Comm, float64) {
 	tr := trace.New(n)
 	comm, end := runCommon(cl, n, prog, tr)
-	_ = comm
-	return tr, end
+	return tr, comm, end
 }
 
 // RunStats is Run but also returns the communicator for statistics.

@@ -9,7 +9,7 @@ import (
 
 func TestRunTracedRecordsStates(t *testing.T) {
 	cl := testCluster(2)
-	tr, end := RunTraced(cl, 2, func(r *Rank) {
+	tr, _, end := RunTraced(cl, 2, func(r *Rank) {
 		r.Compute(0.5)
 		if r.ID() == 0 {
 			r.Send(1, 1, nil, 1000)
@@ -45,7 +45,7 @@ func TestTracedCollectiveSuppressesInnerMessages(t *testing.T) {
 	// A Bcast uses Send/Recv internally but must appear only as one
 	// Collective interval per rank.
 	cl := testCluster(4)
-	tr, _ := RunTraced(cl, 4, func(r *Rank) {
+	tr, _, _ := RunTraced(cl, 4, func(r *Rank) {
 		r.Bcast(0, 1, 8)
 	})
 	for _, p := range tr.Profiles() {
@@ -61,7 +61,7 @@ func TestTracedCollectiveSuppressesInnerMessages(t *testing.T) {
 func TestTracedWaitSeparatedFromRecv(t *testing.T) {
 	// A late sender shows up as Wait on the receiver, not Recv.
 	cl := testCluster(2)
-	tr, _ := RunTraced(cl, 2, func(r *Rank) {
+	tr, _, _ := RunTraced(cl, 2, func(r *Rank) {
 		if r.ID() == 0 {
 			r.Compute(1.0)
 			r.Send(1, 1, nil, 0)

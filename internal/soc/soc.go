@@ -304,13 +304,3 @@ func CoreI7() *Platform {
 func All() []*Platform {
 	return []*Platform{Tegra2(), Tegra3(), Exynos5250(), CoreI7()}
 }
-
-// ByName returns the platform whose Name matches, or nil.
-func ByName(name string) *Platform {
-	for _, p := range All() {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
-}

@@ -127,12 +127,6 @@ func TestMobileSoCsLackECC(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	if ByName("Tegra2") == nil || ByName("nope") != nil {
-		t.Error("ByName lookup broken")
-	}
-}
-
 func TestPriceRatioRoughly70x(t *testing.T) {
 	// §1: mobile SoCs ~70x cheaper than HPC parts ($1552 Xeon vs $21 Tegra 3).
 	xeon := 1552.0

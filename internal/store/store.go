@@ -12,7 +12,7 @@
 //	<dir>/entries/<key>   header line + payload (see entry format)
 //	<dir>/index.journal   append-only op log, compacted on Open
 //
-// Every entry file is written through core.AtomicWriteFile
+// Every entry file is written through AtomicWriteFile
 // (temp + fsync + rename), so a crash mid-put can never leave a
 // half-written entry under its final name. The journal is the LRU
 // authority: `put` and `get` (touch) lines record recency, `del`
@@ -53,7 +53,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"mobilehpc/internal/core"
 	"mobilehpc/internal/obs"
 )
 
@@ -181,7 +180,7 @@ func (s *Store) recover() error {
 
 	// Compact: rewrite the journal as one put line per live entry in
 	// LRU -> MRU order, then reopen it for appends.
-	if err := core.AtomicWriteFile(s.journalPath(), func(w io.Writer) error {
+	if err := AtomicWriteFile(s.journalPath(), func(w io.Writer) error {
 		for el := s.lru.Back(); el != nil; el = el.Prev() {
 			e := el.Value.(*entry)
 			if _, err := w.Write(putLine(e.key, int64(len(e.data)), e.sum)); err != nil {
@@ -279,7 +278,7 @@ func (s *Store) Put(key string, data []byte) error {
 
 	sumHex := sumHexOf(data)
 	if s.journal != nil {
-		if err := core.WriteFileAtomic(s.entryPath(key), encodeEntry(key, data, sumHex)); err != nil {
+		if err := WriteFileAtomic(s.entryPath(key), encodeEntry(key, data, sumHex)); err != nil {
 			return fmt.Errorf("store: writing entry: %w", err)
 		}
 		if _, err := s.journal.Write(putLine(key, int64(len(data)), sumHex)); err != nil {
