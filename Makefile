@@ -98,7 +98,7 @@ faults-smoke:
 # SIGKILLed mid-sweep once a task has committed, must resume the sweep
 # after a restart on the same directory (serve.resumes > 0) and store
 # the bytes of an uninterrupted one. Race mode on: the server's
-# cache/singleflight/admission state is all shared-memory concurrent.
+# store/coalescer/admission state is all shared-memory concurrent.
 serve-smoke:
 	MHPC_SERVE_SMOKE=1 $(GO) test -race -run TestServeSmoke -count=1 ./cmd/mhpcd
 

@@ -89,7 +89,7 @@ func TestBatcherCoalescesConcurrentLoad(t *testing.T) {
 
 	sweeps, keys := rec.counts()
 	if keys != 5 {
-		t.Errorf("sweeps enrolled %d keys total, want 5 (singleflight upstream)", keys)
+		t.Errorf("sweeps enrolled %d keys total, want 5 (one flight per key)", keys)
 	}
 	if sweeps < 1 || sweeps > 5 {
 		t.Errorf("%d sweeps for 5 keys, want 1..5", sweeps)
@@ -381,5 +381,162 @@ func TestBatchedRealRegistryByteIdentity(t *testing.T) {
 	}
 	if m := metric(t, ts.URL, "mhpc_serve_runs_total"); m != 1 {
 		t.Errorf("serve.runs = %d, want 1 for the merged sweep", m)
+	}
+}
+
+// cancelJob DELETEs one job and waits for it to end cancelled.
+func cancelJob(t *testing.T, base, id string) {
+	t.Helper()
+	req, _ := http.NewRequest("DELETE", base+"/job/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitJobState(t, base, id, string(jobCancelled))
+}
+
+// awaitSweep waits for a blocking sweep to start and returns its
+// context.
+func awaitSweep(t *testing.T, bs *blockingSweep) context.Context {
+	t.Helper()
+	select {
+	case ctx := <-bs.started:
+		return ctx
+	case <-time.After(5 * time.Second):
+		t.Fatal("sweep never started")
+		return nil
+	}
+}
+
+// DELETE releases only the job it names: when the job that opened a
+// key's sweep is cancelled, a job that joined that sweep still ends
+// done, and the key is stored.
+func TestBatchDeletedOpenerKeepsJoinerDone(t *testing.T) {
+	bs := newBlockingSweep()
+	cfg := testConfig(echoRun)
+	cfg.sweepFn = bs.fn
+	s := mustServer(t, cfg)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	opener := postJob(t, ts.URL, seededPath(1))
+	awaitSweep(t, bs)
+	joiner := postJob(t, ts.URL, seededPath(1))
+	waitMetric(t, ts.URL, "mhpc_serve_singleflight_hits_total", 1)
+	cancelJob(t, ts.URL, opener.Job)
+
+	close(bs.release)
+	if st := waitJob(t, ts.URL, joiner.Job); st.State != string(jobDone) || !st.Coalesced {
+		t.Fatalf("joiner: state %q coalesced %v (%s), want a done coalesced job", st.State, st.Coalesced, st.Error)
+	}
+	if _, ok := s.store.Peek(runParams{ID: "table1", Seed: 1, Quick: true}.key()); !ok {
+		t.Error("the joined key was not stored")
+	}
+}
+
+// A key resubmitted inside its window after its only waiter was
+// DELETEd revives its place in the open sweep: it is enrolled once.
+func TestBatchResubmitInWindowEnrolsOnce(t *testing.T) {
+	rec := &sweepRecorder{}
+	ts := httptest.NewServer(mustServer(t, batchedConfig(rec, 200*time.Millisecond, 32)).handler())
+	defer ts.Close()
+
+	cancelJob(t, ts.URL, postJob(t, ts.URL, seededPath(1)).Job)
+	if st := runJob(t, ts.URL, seededPath(1)); st.State != string(jobDone) {
+		t.Fatalf("resubmitted job: state %q (%s)", st.State, st.Error)
+	}
+	if sweeps, keys := rec.counts(); sweeps != 1 || keys != 1 {
+		t.Errorf("sweeps=%d keys=%d, want the key enrolled once in one sweep", sweeps, keys)
+	}
+	if m := metric(t, ts.URL, "mhpc_serve_batch_jobs_total"); m != 1 {
+		t.Errorf("serve.batch_jobs = %d, want 1", m)
+	}
+}
+
+// Every job resolves exactly one way, and only a DELETE cancels one:
+// under concurrent jobs over stored and unstored keys, with openers
+// and joiners DELETEd mid-sweep, serve.jobs = serve.cache_hits +
+// serve.singleflight_hits + serve.batch_jobs, and the jobs reporting
+// cached and coalesced match the first two counters.
+func TestBatchAccountingIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		window      time.Duration
+		max, sweeps int
+	}{
+		{"no window", 0, 32, 3},
+		{"window", time.Hour, 3, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bs := newBlockingSweep()
+			cfg := batchedConfig(nil, tc.window, tc.max)
+			cfg.sweepFn = bs.fn
+			cfg.concurrency = tc.sweeps
+			s := mustServer(t, cfg)
+			ts := httptest.NewServer(s.handler())
+			defer ts.Close()
+
+			stored := runParams{ID: "table1", Seed: 1, Quick: true}
+			out, _ := echoRun(context.Background(), stored)
+			if err := s.cachePut(stored.key(), stored, out); err != nil {
+				t.Fatal(err)
+			}
+			// Seed 1 is stored; seeds 2-4 each open one key of the
+			// sweeps, then two more jobs per seed follow.
+			var all []string
+			post := func(seed int) string {
+				all = append(all, postJob(t, ts.URL, seededPath(seed)).Job)
+				return all[len(all)-1]
+			}
+			openers, more := map[int]string{}, map[int][]string{}
+			for seed := 2; seed <= 4; seed++ {
+				openers[seed] = post(seed)
+			}
+			for i := 0; i < tc.sweeps; i++ {
+				awaitSweep(t, bs)
+			}
+			for seed := 1; seed <= 4; seed++ {
+				more[seed] = []string{post(seed), post(seed)}
+			}
+			waitMetric(t, ts.URL, "mhpc_serve_singleflight_hits_total", 6)
+
+			deleted := map[string]bool{}
+			for _, id := range []string{openers[2], more[3][0], openers[4], more[4][0], more[4][1]} {
+				cancelJob(t, ts.URL, id)
+				deleted[id] = true
+			}
+			close(bs.release)
+			// Seed 4 lost every waiter: resubmitted, it is stored by the
+			// shared sweep or run again.
+			post(4)
+
+			var cached, coalesced int64
+			for _, id := range all {
+				st := waitJob(t, ts.URL, id)
+				want := jobDone
+				if deleted[id] {
+					want = jobCancelled
+				}
+				if st.State != string(want) {
+					t.Errorf("job %s (deleted %v): state %q (%s), want %q", id, deleted[id], st.State, st.Error, want)
+				}
+				if st.Cached {
+					cached++
+				}
+				if st.Coalesced {
+					coalesced++
+				}
+			}
+			jobs, hits := metric(t, ts.URL, "mhpc_serve_jobs_total"), metric(t, ts.URL, "mhpc_serve_cache_hits_total")
+			joined, enrolled := metric(t, ts.URL, "mhpc_serve_singleflight_hits_total"), metric(t, ts.URL, "mhpc_serve_batch_jobs_total")
+			if jobs != int64(len(all)) || jobs != hits+joined+enrolled {
+				t.Errorf("serve.jobs = %d (%d submitted), cache_hits + singleflight_hits + batch_jobs = %d + %d + %d",
+					jobs, len(all), hits, joined, enrolled)
+			}
+			if cached != hits || coalesced != joined {
+				t.Errorf("%d cached and %d coalesced jobs, counters say %d and %d", cached, coalesced, hits, joined)
+			}
+		})
 	}
 }

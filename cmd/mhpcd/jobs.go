@@ -2,12 +2,13 @@ package main
 
 // The mhpcd job plane: asynchronous runs with streaming telemetry.
 // POST /run/{id} registers a job and returns its id immediately; the
-// run executes on a server goroutine through the content-addressed
-// store, singleflight, and admission control. GET /job/{id} reports
-// lifecycle state, GET /job/{id}/events streams progress as
-// server-sent events (telemetry deltas from the live collector plus
-// the final rendered table), and DELETE /job/{id} cancels mid-run
-// through the context -> AbortFlag plumbing — the engines unwind at
+// run executes through the content-addressed store, the one coalescer
+// (batch.go) and admission control. GET /job/{id} reports lifecycle
+// state, GET /job/{id}/events streams progress as server-sent events
+// (telemetry deltas from the live collector plus the final rendered
+// table), and DELETE /job/{id} cancels that job mid-run: its waiter
+// leaves the sweep, and when it was the last one the sweep unwinds
+// through the context -> AbortFlag plumbing — the engines stop at
 // their next event, so cancellation is bounded by event granularity,
 // not experiment granularity.
 //
@@ -144,15 +145,16 @@ func (j *job) setRunning() {
 	j.mu.Unlock()
 }
 
-// complete records the terminal state; a done job also records the
-// fraction of its tasks restored from a checkpoint ledger rather than
-// re-executed (resumed_from in the status JSON and the SSE state/done
-// events). The caller closes j.done (once) after it returns.
-func (j *job) complete(err error, cached, coalesced bool, resumedFrom float64) {
+// complete records the terminal state and how the job resolved; a
+// done job also records the fraction of its tasks restored from a
+// checkpoint ledger rather than re-executed (resumed_from in the
+// status JSON and the SSE state/done events). The caller closes j.done
+// (once) after it returns.
+func (j *job) complete(err error, out swept) {
 	j.mu.Lock()
 	switch {
 	case err == nil:
-		j.state, j.resumedFrom = jobDone, resumedFrom
+		j.state, j.resumedFrom = jobDone, out.resumedFrom
 	case errors.Is(err, context.Canceled):
 		j.state = jobCancelled
 		j.err = err
@@ -160,7 +162,7 @@ func (j *job) complete(err error, cached, coalesced bool, resumedFrom float64) {
 		j.state = jobFailed
 		j.err = err
 	}
-	j.cached, j.coalesced = cached, coalesced
+	j.cached, j.coalesced = out.cached, out.coalesced
 	j.finished = time.Now()
 	j.mu.Unlock()
 }
@@ -232,42 +234,21 @@ func (s *server) jobByID(id string) *job {
 	return s.jobs[id]
 }
 
-// executeJob drives one asynchronous run to a terminal state: cache
-// hit, singleflight follower, or leader execution through admission
-// control. A rejected leader fails with errBusy, a run past -timeout
-// with context.DeadlineExceeded.
+// executeJob drives one asynchronous run to a terminal state through
+// the batcher: a store hit, a join onto the sweep already holding its
+// key, or a sweep of its own. A sweep rejected by admission control
+// fails with errBusy, one past -timeout with context.DeadlineExceeded;
+// only the job's own DELETE (or the drain) cancels it.
 func (s *server) executeJob(j *job) {
 	defer s.runs.Done()
 	defer close(j.done)
 	defer j.cancel()
 	j.setRunning()
-
-	s.mu.Lock()
-	if _, ok := s.cacheGet(j.key); ok {
-		s.mu.Unlock()
-		s.counter("serve.cache_hits").Add(1)
-		j.complete(nil, true, false, 0)
-		return
-	}
-	c, leader := s.joinLocked(j.key)
-	s.mu.Unlock()
-
-	if !leader {
-		s.counter("serve.singleflight_hits").Add(1)
-		select {
-		case <-c.done:
-			j.complete(c.err, false, true, 0)
-		case <-j.ctx.Done():
-			j.complete(j.ctx.Err(), false, true, 0)
-		}
-		return
-	}
 	out, err := s.batcher.submit(j.ctx, j.params)
 	if err == nil {
 		err = out.err // a result the store cannot keep fails the run
 	}
-	s.finish(j.key, c, err)
-	j.complete(err, false, false, out.resumedFrom)
+	j.complete(err, out)
 }
 
 // handleJob serves GET /job/{job}.
@@ -282,7 +263,8 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobCancel serves DELETE /job/{job}: it raises the job's
-// cancellation (context -> AbortFlag -> engine teardown) and returns
+// cancellation (the job leaves its sweep; a sweep left by its last
+// waiter goes context -> AbortFlag -> engine teardown) and returns
 // immediately with the current status — it does not wait for the
 // unwind, so the response is prompt (the smoke wall bounds it at
 // 100ms) while the goroutines settle behind it. A DELETE that lands

@@ -27,7 +27,8 @@
 //
 // Results are content-addressed: the response key is a hash of
 // (id, seed, quick, csv), identical requests hit the result store,
-// and concurrent identical requests coalesce onto a single execution.
+// and concurrent identical requests wait on the one sweep running
+// their key.
 // The seed never changes the simulation (runs are deterministic); it
 // is a replica salt for clients that want to force a fresh execution.
 // The store (internal/store) holds up to -store-bytes of results
@@ -38,21 +39,22 @@
 // restarted server serves previously computed keys without
 // re-executing them.
 //
-// Every run executes as a sweep. With -batch-window > 0, run
-// submissions that arrive within one window and share an experiment
-// family (quick/csv options) are coalesced into a single harness
-// sweep — one admission token, one TablesContext over the union of
-// their experiment ids — and the per-id results fan back out to every
-// waiter, byte-identical to solo runs; otherwise each run is a sweep
-// of one. -batch-max fires a sweep early once that many distinct keys
+// Every run executes as a sweep, the one coalescing structure. With
+// -batch-window > 0, run submissions that arrive within one window and
+// share an experiment family (quick/csv options) are coalesced into a
+// single harness sweep — one admission token, one TablesContext over
+// the union of their experiment ids — and the per-id results fan back
+// out to every waiter, byte-identical to sweeps of one; otherwise each
+// missed key is a sweep of one. -batch-max fires a sweep early once that many distinct keys
 // have joined. Batched or not, each run key checkpoints its completed
 // tasks (under -store-dir, fsynced to disk), so a failed, aborted or
 // killed run resumes from its committed progress when resubmitted.
 //
 // Admission is bounded: -concurrency runs execute at once, -queue more
 // may wait, and a job beyond that fails immediately ("at capacity").
-// Each run is cancelled at the earliest of DELETE /job/{job}, the
-// -timeout bound (the job fails with a deadline error), or shutdown.
+// DELETE /job/{job} cancels that job only; its sweep is cancelled when
+// no job waits on it any more, at the -timeout bound (its jobs fail
+// with a deadline error), or at shutdown.
 // On SIGINT/SIGTERM the server stops accepting work (healthz turns
 // 503), lets submitted jobs, open requests and event streams finish
 // for up to -drain — a job that finishes in time stores its result —

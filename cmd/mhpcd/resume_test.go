@@ -7,6 +7,7 @@ package main
 // namespace under the store dir).
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,6 +16,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,6 +139,71 @@ func TestResumeLedgerOnDisk(t *testing.T) {
 	}
 	if got := metric(t, ts.URL, "mhpc_serve_resumes_total"); got != 1 {
 		t.Errorf("serve.resumes = %d, want 1", got)
+	}
+}
+
+// TestResumeWaitsForCancelledSweep: two sweeps never hold one key's
+// ledger at once. A job whose key sits on a cancelled sweep that is
+// still unwinding waits for it, then resumes from the ledger that
+// sweep closed, and every commit of both attempts reaches the file.
+func TestResumeWaitsForCancelledSweep(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "partials", runParams{ID: "fig6", Quick: true}.key()+".ckpt")
+	started, unwind, unwound := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	var lines atomic.Int64 // ledger lines on disk after the resumed commit
+	cfg := testConfig(func(ctx context.Context, p runParams) ([]byte, error) {
+		led := harness.BoundLedger()
+		if calls.Add(1) == 1 {
+			err := led.Commit("subrun/fig6/a", []byte("rows-a"))
+			close(started)
+			<-ctx.Done()
+			<-unwind
+			close(unwound)
+			return nil, errors.Join(ctx.Err(), err)
+		}
+		<-unwound
+		// A sweep still holding this ledger would settle it by now.
+		time.Sleep(20 * time.Millisecond)
+		a, ok := led.Lookup("subrun/fig6/a")
+		if !ok {
+			return nil, errors.New("the resumed attempt missed the committed sub-run")
+		}
+		if err := led.Commit("subrun/fig6/b", []byte("rows-b")); err != nil {
+			return nil, err
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		lines.Store(int64(bytes.Count(raw, []byte("\n"))))
+		return []byte(string(a) + "|rows-b"), nil
+	})
+	cfg.storeDir = dir
+	cfg.batchWindow, cfg.batchMax = 10*time.Millisecond, 32
+	s := mustServer(t, cfg)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	first := postJob(t, ts.URL, "/run/fig6?quick=1")
+	<-started
+	cancelJob(t, ts.URL, first.Job)
+	second := postJob(t, ts.URL, "/run/fig6?quick=1")
+	time.Sleep(50 * time.Millisecond) // windows close; the first sweep still unwinds
+	close(unwind)
+
+	st := waitJob(t, ts.URL, second.Job)
+	if st.State != string(jobDone) || st.ResumedFrom <= 0 {
+		t.Fatalf("second job: state %q resumed_from %v (%s), want a done resume", st.State, st.ResumedFrom, st.Error)
+	}
+	if res := fetchResult(t, ts.URL, st.ResultKey); res.Output != "rows-a|rows-b" {
+		t.Errorf("resumed output = %q", res.Output)
+	}
+	if n := lines.Load(); n != 2 {
+		t.Errorf("ledger file held %d lines after the resumed commit, want 2 (one per commit)", n)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("%d attempts, want 2", n)
 	}
 }
 

@@ -1,9 +1,9 @@
 package main
 
 // The coalescing payoff, measured: a cache-cold zipf request mix over
-// real quick experiments, served unbatched (every leader its own
-// harness execution) versus through a 10ms window (leaders merged
-// into family sweeps). Each request is an async job followed to its
+// real quick experiments, served unbatched (every missed key a sweep
+// of one) versus through a 10ms window (keys merged into family
+// sweeps). Each request is an async job followed to its
 // SSE done event, the path every client takes. The req/s custom
 // metric is the headline; the acceptance bar for the serving tier is
 // batched >= 1.5x unbatched on this mix. Two runs of `-benchtime 3x

@@ -3,23 +3,24 @@ package main
 // The mhpcd service core: a result server over the experiment
 // registry. Every run is deterministic (same id + options, same
 // bytes), so results are content-addressed — the cache key is a hash
-// of the full run request — and concurrent identical requests
-// coalesce onto one execution (singleflight). Results live in
-// internal/store: a byte-budgeted strict-LRU layer that, with
-// -store-dir set, is disk-backed and survives restarts — a key
-// computed before a SIGTERM is a cache hit after the process comes
-// back (TestStoreSmoke proves zero re-executions). Every leader runs
-// as a sweep (runSweep): alone, or with -batch-window set merged with
-// the other leaders of its window (see batch.go); either way each
-// member key checkpoints into its own ledger and resumes from it
-// after a failure, a drain abort or a kill. Every request is an
-// asynchronous job (jobs.go). Admission is bounded: -concurrency
-// sweeps execute at once, -queue more may wait, and a job past that
-// fails at once with errBusy instead of piling up goroutines.
-// Cancellation rides the abort plumbing: each sweep gets a context
-// bounded by its waiters (DELETE /job/{id}), the per-run timeout, and
-// the server's drain deadline, and harness.TablesContext unwinds the
-// simulation engines mid-event when any of them fires.
+// of the full run request. Results live in internal/store: a
+// byte-budgeted strict-LRU layer that, with -store-dir set, is
+// disk-backed and survives restarts — a key computed before a SIGTERM
+// is a cache hit after the process comes back (TestStoreSmoke proves
+// zero re-executions). A key that misses the store is run by exactly
+// one sweep (runSweep; batch.go is the one coalescer): concurrent
+// requests for it wait on that sweep, and with -batch-window set it
+// also carries the other keys of its window. Each member key
+// checkpoints into its own ledger and resumes from it after a failure,
+// a drain abort or a kill. Every request is an asynchronous job
+// (jobs.go). Admission is bounded: -concurrency sweeps execute at
+// once, -queue more may wait, and a sweep past that fails at once with
+// errBusy instead of piling up goroutines. Cancellation rides the
+// abort plumbing: each sweep gets a context bounded by its waiters
+// (DELETE /job/{id} releases one; the last one out cancels it), the
+// per-run timeout, and the server's drain deadline, and
+// harness.TablesContext unwinds the simulation engines mid-event when
+// any of them fires.
 
 import (
 	"bytes"
@@ -76,14 +77,6 @@ type runResult struct {
 	Output string `json:"output"`
 }
 
-// call is one in-flight singleflight execution: followers block on
-// done and then read the leader's err; on success the bytes are in
-// the store.
-type call struct {
-	done chan struct{}
-	err  error
-}
-
 // serverConfig is everything newServer needs; main fills it from
 // flags, tests fill it directly.
 type serverConfig struct {
@@ -101,8 +94,8 @@ type serverConfig struct {
 	sweepFn func(ctx context.Context, fam famKey, ps []runParams, jobs int) (map[string][]byte, error)
 }
 
-// server serves the experiment registry over HTTP. The flight table
-// and job plane die with the process; the result store survives it
+// server serves the experiment registry over HTTP. The batcher and
+// job plane die with the process; the result store survives it
 // when backed by a directory.
 type server struct {
 	cfg      serverConfig
@@ -114,8 +107,10 @@ type server struct {
 	draining atomic.Bool
 
 	// runs counts submitted jobs that have not reached a terminal
-	// state; the drain waits on it. Adds happen under mu and only
-	// while not draining, so none can race the drain's Wait.
+	// state, and sweeps that have not returned; the drain waits on it.
+	// A job's Add happens under mu and only while not draining, and a
+	// sweep's while its enrolling job still counts, so none can race
+	// the drain's Wait.
 	runs sync.WaitGroup
 
 	// baseCtx is cancelled when the drain deadline expires: it aborts
@@ -130,7 +125,6 @@ type server struct {
 	ckptDir string
 
 	mu       sync.Mutex
-	flight   map[string]*call
 	jobs     map[string]*job
 	jobOrder []string // job ids, oldest first (FIFO eviction of finished jobs)
 	jobSeq   int64
@@ -152,7 +146,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		col:     obs.NewLive(),
 		sem:     make(chan struct{}, cfg.concurrency),
 		waiting: make(chan struct{}, cfg.concurrency+cfg.queue),
-		flight:  map[string]*call{},
 		jobs:    map[string]*job{},
 		ledgers: map[string]*store.Ledger{},
 	}
@@ -165,7 +158,8 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	s.store = st
 	s.baseCtx, s.abortRuns = context.WithCancel(context.Background())
-	s.batcher = &batcher{s: s, window: cfg.batchWindow, max: cfg.batchMax, pending: map[famKey]*sweep{}}
+	s.batcher = &batcher{s: s, window: cfg.batchWindow, max: cfg.batchMax,
+		pending: map[famKey]*sweep{}, flight: map[string]*sweep{}}
 	return s, nil
 }
 
@@ -336,14 +330,13 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown result key (evicted or never computed)", http.StatusNotFound)
 		return
 	}
-	s.counter("serve.cache_hits").Add(1)
 	res.Cached = true
 	writeJSON(w, http.StatusOK, res)
 }
 
 // handleRun serves POST /run/{id}: the run is registered as a job and
 // a 202 with the job envelope (status and events URLs) returns
-// immediately. The job resolves through the store, singleflight and
+// immediately. The job resolves through the store, the batcher and
 // admission control in executeJob.
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.counter("serve.requests").Add(1)
@@ -367,22 +360,10 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
-// joinLocked registers interest in key's execution. The first caller
-// becomes the leader (runs the experiment); everyone else is a
-// follower waiting on the same call. s.mu must be held.
-func (s *server) joinLocked(key string) (c *call, leader bool) {
-	if c, ok := s.flight[key]; ok {
-		return c, false
-	}
-	c = &call{done: make(chan struct{})}
-	s.flight[key] = c
-	return c, true
-}
-
 // admitted pushes one sweep through admission control and runs fn.
-// The sweep's context is bounded three ways: the caller's context
-// (job cancelled, or every batch waiter gone), the per-run timeout,
-// and the server's baseCtx (drain deadline expired).
+// The sweep's context is bounded three ways: the sweep's own context
+// (cancelled when its last waiter leaves), the per-run timeout, and
+// the server's baseCtx (drain deadline expired).
 func (s *server) admitted(ctx context.Context, fn func(ctx context.Context) error) error {
 	select {
 	case s.waiting <- struct{}{}:
@@ -416,16 +397,19 @@ func (s *server) admitted(ctx context.Context, fn func(ctx context.Context) erro
 	return err
 }
 
-// swept is one member's share of a successful sweep: the fraction of
-// its tasks restored from checkpoint (0 for a cold run), and the error
-// of writing its result to the store.
+// swept is one job's share of its key's outcome: whether the store
+// answered it (cached) or it joined a sweep that already held its key
+// (coalesced), the fraction of its tasks restored from checkpoint (0
+// for a cold run), and the error of writing its result to the store.
 type swept struct {
-	resumedFrom float64
-	err         error
+	cached, coalesced bool
+	resumedFrom       float64
+	err               error
 }
 
-// runSweep is the one executor behind every request: an unbatched
-// leader is a sweep of one, a batch window a sweep of its members.
+// runSweep is the one executor behind every request that misses the
+// store: without a window a sweep of one, with one a sweep of the
+// window's members.
 // Under admission control it opens (or recovers) one checkpoint ledger
 // per member key, binds them behind a ledgerRoute, runs sweepFn and
 // settles every ledger, so a member that failed, was aborted or was
@@ -551,17 +535,6 @@ func (s *server) settleLedger(key string, led *store.Ledger, ok bool) {
 	} else {
 		led.Close()
 	}
-}
-
-// finish publishes the outcome to followers and retires the flight
-// entry. A success is already in the store (runSweep put it there), so
-// a concurrent request always sees the result in at least one of them.
-func (s *server) finish(key string, c *call, err error) {
-	s.mu.Lock()
-	delete(s.flight, key)
-	s.mu.Unlock()
-	c.err = err
-	close(c.done)
 }
 
 // parseRunParams decodes the run options: an optional JSON body

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -516,6 +517,38 @@ func TestDrainWaitsForJobs(t *testing.T) {
 	}
 	if st := getJob(t, ts.URL, straggler.Job); st.State != string(jobCancelled) {
 		t.Errorf("straggler ended %q (%s), want cancelled by the abort", st.State, st.Error)
+	}
+}
+
+// The drain waits for every sweep, not only for its jobs: a sweep
+// still unwinding after the abort holds waitRuns, so serve does not
+// close the store underneath it.
+func TestDrainWaitsForSweeps(t *testing.T) {
+	started := make(chan struct{})
+	var returned atomic.Bool
+	cfg := testConfig(func(ctx context.Context, p runParams) ([]byte, error) {
+		close(started)
+		<-ctx.Done()
+		time.Sleep(50 * time.Millisecond) // a slow unwind
+		returned.Store(true)
+		return nil, ctx.Err()
+	})
+	cfg.batchWindow, cfg.batchMax = time.Millisecond, 32
+	s := mustServer(t, cfg)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	postJob(t, ts.URL, "/run/table1?quick=1")
+	<-started
+	s.beginDrain()
+	s.abortRuns()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.waitRuns(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !returned.Load() {
+		t.Error("waitRuns returned while a sweep was still running")
 	}
 }
 
