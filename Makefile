@@ -73,9 +73,10 @@ telemetry-smoke:
 	$(GO) run ./cmd/jsoncheck $(TMP)/trace.json $(TMP)/manifest.json
 
 # End-to-end fault-injection gate: a short fault-sweep must be
-# byte-identical at -j 4 vs serial with telemetry on, and the injected
-# fault events (plus the replay's checkpoints and restarts) must land
-# in the run manifest with non-zero counts.
+# byte-identical at -j 4 vs serial with telemetry on, the injected
+# fault events (plus the replay's checkpoints and restarts, and the
+# engines' batched event counts) must land in the run manifest with
+# non-zero counts, and the buffered trace must carry the fault spans.
 faults-smoke:
 	rm -rf $(TMP)-faults && mkdir -p $(TMP)-faults
 	$(GO) build -o $(TMP)-faults/mhpc ./cmd/mhpc
@@ -84,7 +85,8 @@ faults-smoke:
 	$(TMP)-faults/mhpc run -quick -j 1 faultsweep > $(TMP)-faults/out-j1.txt
 	cmp $(TMP)-faults/out-j4.txt $(TMP)-faults/out-j1.txt
 	$(GO) run ./cmd/jsoncheck $(TMP)-faults/trace.json
-	$(GO) run ./cmd/jsoncheck -counters faults.injected,faults.node_fail,faults.node_hang,faults.link_degrade,faults.checkpoints,faults.restarts \
+	grep -q '"fault/' $(TMP)-faults/trace.json
+	$(GO) run ./cmd/jsoncheck -counters faults.injected,faults.node_fail,faults.node_hang,faults.link_degrade,faults.checkpoints,faults.restarts,sim.events.scheduled,sim.events.dispatched \
 		$(TMP)-faults/manifest.json
 
 # End-to-end serving gate: build and exec the real mhpcd binary, then

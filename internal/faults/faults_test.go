@@ -330,6 +330,55 @@ func TestInjectorAppliesHooksAndTelemetry(t *testing.T) {
 	}
 }
 
+// Under a live collector an injected fault opens no span — it
+// allocates nothing beyond what the fault costs with telemetry off, so
+// there is no name formatted and no span built for one nobody reads —
+// while its counters still count; a buffering collector keeps the span.
+func TestInjectorLiveCollectorSkipsFaultSpan(t *testing.T) {
+	const n = 50
+	ev := Event{Hours: 1, Node: 1, Kind: LinkDegrade, Factor: 2}
+	allocsPerFault := func(col *obs.Collector) float64 {
+		obs.SetActive(col)
+		defer obs.SetActive(nil)
+		inj := NewInjector(cluster.Tibidabo(2), nil, nil)
+		inj.fired = make([]Event, 0, n+2)
+		return testing.AllocsPerRun(n, func() { inj.fire(ev) })
+	}
+	off := allocsPerFault(nil)
+	live, buffering := obs.NewLive(), obs.New()
+	if a := allocsPerFault(live); a != off {
+		t.Errorf("live collector: %v allocations per fault, want %v as with telemetry off", a, off)
+	}
+	if a := allocsPerFault(buffering); a <= off {
+		t.Errorf("buffering collector: %v allocations per fault, want more than %v (the span)", a, off)
+	}
+	for _, col := range []*obs.Collector{live, buffering} {
+		for _, name := range []string{"faults.injected", "faults.link_degrade"} {
+			if got := col.Counter(name).Value(); got != n+1 {
+				t.Errorf("%s = %d, want %d", name, got, n+1)
+			}
+		}
+	}
+}
+
+// NewInjector refuses a schedule it cannot apply: an event on a node
+// outside the cluster, or of a kind it does not know.
+func TestNewInjectorRejectsBadEvents(t *testing.T) {
+	for name, ev := range map[string]Event{
+		"node": {Hours: 1, Node: 2, Kind: NodeFail},
+		"kind": {Hours: 1, Node: 0, Kind: numKinds},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			NewInjector(cluster.Tibidabo(2), Schedule{ev}, nil)
+		}()
+	}
+}
+
 func TestInjectorDisarm(t *testing.T) {
 	cl := cluster.Tibidabo(2)
 	inj := NewInjector(cl, Schedule{{Hours: 1, Node: 0, Kind: NodeFail}}, nil)

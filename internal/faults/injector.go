@@ -20,6 +20,14 @@ type Injector struct {
 	onFault func(Event)
 	armed   []*sim.Event
 	fired   []Event
+
+	// Telemetry, resolved once per injector: the collector active at
+	// construction and its fault counters, each created on the first
+	// fault that counts into it (so a kind that never fires adds no
+	// zero counter to the manifest).
+	col      *obs.Collector
+	injected *obs.Counter
+	perKind  [numKinds]*obs.Counter
 }
 
 // NewInjector creates an injector for schedule sch on cluster cl.
@@ -30,8 +38,11 @@ func NewInjector(cl *cluster.Cluster, sch Schedule, onFault func(Event)) *Inject
 		if ev.Node >= cl.Size() {
 			panic(fmt.Sprintf("faults: event %d targets node %d of a %d-node cluster", i, ev.Node, cl.Size()))
 		}
+		if ev.Kind >= numKinds {
+			panic(fmt.Sprintf("faults: event %d has unknown kind %d", i, ev.Kind))
+		}
 	}
-	return &Injector{cl: cl, sch: sch, onFault: onFault}
+	return &Injector{cl: cl, sch: sch, onFault: onFault, col: obs.Active()}
 }
 
 // Arm schedules every event of the schedule onto the cluster engine
@@ -67,12 +78,22 @@ func (in *Injector) fire(ev Event) {
 		in.cl.Net.DegradeNode(ev.Node, ev.Factor)
 	}
 	in.fired = append(in.fired, ev)
-	if c := obs.Active(); c != nil {
-		c.Counter("faults.injected").Add(1)
-		c.Counter("faults." + ev.Kind.String()).Add(1)
-		sp := c.StartSpan(fmt.Sprintf("fault/%s/n%d", ev.Kind, ev.Node), "fault",
-			obs.Float("sim_hours", ev.Hours), obs.Int("node", int64(ev.Node)))
-		sp.End()
+	if c := in.col; c != nil {
+		if in.injected == nil {
+			in.injected = c.Counter("faults.injected")
+		}
+		in.injected.Add(1)
+		if in.perKind[ev.Kind] == nil {
+			in.perKind[ev.Kind] = c.Counter("faults." + ev.Kind.String())
+		}
+		in.perKind[ev.Kind].Add(1)
+		// A live collector drops a span at End, so an instant span
+		// there is never seen: skip the name, the span and the
+		// goroutine-id walk that opening it costs.
+		if !c.Live() {
+			c.StartSpan(fmt.Sprintf("fault/%s/n%d", ev.Kind, ev.Node), "fault",
+				obs.Float("sim_hours", ev.Hours), obs.Int("node", int64(ev.Node))).End()
+		}
 	}
 	if in.onFault != nil {
 		in.onFault(ev)

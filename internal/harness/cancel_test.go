@@ -40,15 +40,10 @@ type cancelAfterDispatches struct {
 	cancel context.CancelFunc
 }
 
-// EventScheduled implements sim.Observer.
-func (c *cancelAfterDispatches) EventScheduled(int) {}
-
-// EventCanceled implements sim.Observer.
-func (c *cancelAfterDispatches) EventCanceled() {}
-
-// EventDispatched cancels the context at the threshold.
-func (c *cancelAfterDispatches) EventDispatched() {
-	if c.n.Add(1) == c.after {
+// EventsObserved cancels the context on the batch whose dispatches
+// carry the total across the threshold.
+func (c *cancelAfterDispatches) EventsObserved(_, dispatched, _ int64, _ int) {
+	if n := c.n.Add(dispatched); n >= c.after && n-dispatched < c.after {
 		c.cancel()
 	}
 }

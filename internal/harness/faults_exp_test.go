@@ -92,3 +92,21 @@ func TestFaultSweepCountersFlow(t *testing.T) {
 		t.Error("chrome trace carries no fault-category spans")
 	}
 }
+
+// mhpcd's collector is live: it drops finished spans, so the per-fault
+// spans are never opened there. The faultsweep counters still count,
+// and the collector holds no span once the run is over.
+func TestFaultSweepLiveCollector(t *testing.T) {
+	c := obs.NewLive()
+	obs.SetActive(c)
+	defer obs.SetActive(nil)
+	if _, err := Tables([]string{"faultsweep"}, Options{Quick: true, Jobs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if v := c.Counter("faults.injected").Value(); v <= 0 {
+		t.Errorf("faults.injected = %d under a live collector, want > 0", v)
+	}
+	if finished, open := c.Retained(); finished != 0 || open != 0 {
+		t.Errorf("live collector retains %d finished spans and %d goroutines with open spans", finished, open)
+	}
+}

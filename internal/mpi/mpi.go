@@ -142,10 +142,11 @@ type Comm struct {
 	hostSyncN int
 	tracer    *trace.Trace
 
-	// xferBytes is the telemetry histogram of point-to-point message
-	// sizes (obs "mpi.transfer_bytes"), resolved once at communicator
-	// construction so the per-Send cost is one nil check when telemetry
-	// is off and one atomic observe when it is on.
+	// xferBytes histograms this communicator's point-to-point message
+	// sizes while telemetry is on (nil when off). It is local to the
+	// communicator, so a Send never touches a histogram shared with
+	// concurrent runs; runCommon merges it into the collector's
+	// "mpi.transfer_bytes" once, when the run ends.
 	xferBytes *obs.Histogram
 }
 
@@ -192,8 +193,11 @@ func runCommon(cl *cluster.Cluster, n int, prog func(r *Rank), tr *trace.Trace) 
 		panic(fmt.Sprintf("mpi: %d ranks on %d-node cluster", n, cl.Size()))
 	}
 	comm := &Comm{Cl: cl, ranks: make([]*Rank, n), tracer: tr,
-		pairBytes: make([]int64, n*n),
-		xferBytes: obs.Active().Histogram("mpi.transfer_bytes")}
+		pairBytes: make([]int64, n*n)}
+	if col := obs.Active(); col != nil {
+		comm.xferBytes = &obs.Histogram{}
+		defer col.Histogram("mpi.transfer_bytes").Merge(comm.xferBytes)
+	}
 	for i := 0; i < n; i++ {
 		r := &Rank{id: i, comm: comm}
 		comm.ranks[i] = r

@@ -203,6 +203,11 @@ func NewLive() *Collector {
 	return c
 }
 
+// Live reports whether c drops finished spans (NewLive). A span that
+// is opened and ended at once is never seen on a live collector, so
+// instrumented code checks this before paying for one. False on nil.
+func (c *Collector) Live() bool { return c != nil && c.live }
+
 // active is the process-wide collector consulted by the instrumented
 // packages (harness pool, reliability Monte-Carlo). nil = telemetry
 // off: the fast path everywhere.

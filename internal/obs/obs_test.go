@@ -240,12 +240,10 @@ func TestManifest(t *testing.T) {
 func TestSimObserverCounts(t *testing.T) {
 	c := New()
 	o := NewSimObserver(c)
-	o.EventScheduled(3)
-	o.EventScheduled(9)
-	o.EventScheduled(1)
-	o.EventDispatched()
-	o.EventDispatched()
-	o.EventCanceled()
+	// Two engine batches: three scheduled events at depths 3, 9 and
+	// 1, two dispatched, one cancelled.
+	o.EventsObserved(2, 1, 0, 9)
+	o.EventsObserved(1, 1, 1, 1)
 	if v := c.Counter("sim.events.scheduled").Value(); v != 3 {
 		t.Errorf("scheduled = %d", v)
 	}
@@ -259,7 +257,7 @@ func TestSimObserverCounts(t *testing.T) {
 		t.Errorf("heap depth watermark = %d, want 9", v)
 	}
 	// A sim observer over a nil collector counts into no-op handles.
-	NewSimObserver(nil).EventScheduled(5)
+	NewSimObserver(nil).EventsObserved(1, 1, 1, 5)
 }
 
 func TestActiveGlobal(t *testing.T) {

@@ -5,9 +5,11 @@ package obs
 // import sim, sim does not import obs; the CLI (or a test) wires the
 // two together with sim.SetDefaultObserver(obs.NewSimObserver(c)).
 //
-// The engine calls these methods once per event on its own hot loop,
-// so the adapter pre-resolves its counters at construction time: each
-// callback is one or two atomic adds, no map lookups.
+// The engine counts in plain fields and reports in batches (every 1024
+// dispatches and at the end of each Run), so the adapter's shared
+// atomics are touched a few times per thousand events, not per event.
+// Its counters are still pre-resolved at construction: a flush does no
+// map lookups.
 
 // SimObserver counts discrete-event engine activity: events
 // scheduled, dispatched, and cancelled (counters sim.events.*) and
@@ -33,16 +35,18 @@ func NewSimObserver(c *Collector) *SimObserver {
 	}
 }
 
-// EventScheduled records one scheduled event and samples the queue
-// depth observed right after the push.
-func (o *SimObserver) EventScheduled(depth int) {
-	o.scheduled.Add(1)
-	o.depth.Watermark(int64(depth))
+// EventsObserved records one engine batch: events scheduled,
+// dispatched, and dropped because they were cancelled before firing,
+// and the largest queue depth observed right after a push.
+func (o *SimObserver) EventsObserved(scheduled, dispatched, canceled int64, maxDepth int) {
+	if scheduled != 0 {
+		o.scheduled.Add(scheduled)
+		o.depth.Watermark(int64(maxDepth))
+	}
+	if dispatched != 0 {
+		o.dispatched.Add(dispatched)
+	}
+	if canceled != 0 {
+		o.canceled.Add(canceled)
+	}
 }
-
-// EventDispatched records one dispatched (fired) event.
-func (o *SimObserver) EventDispatched() { o.dispatched.Add(1) }
-
-// EventCanceled records one event dropped from the queue because it
-// was cancelled before firing.
-func (o *SimObserver) EventCanceled() { o.canceled.Add(1) }

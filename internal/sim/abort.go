@@ -12,10 +12,12 @@ package sim
 // ordinary error (normally context.Canceled).
 //
 // Attachment is by goroutine: BindAbort associates the calling
-// goroutine with a flag, and NewEngine snapshots the binding of the
-// goroutine that creates the engine. Engines are built deep inside the
-// cluster constructors, so a creation-time ambient binding is the only
-// practical attachment point — the same reasoning as
+// goroutine with a flag, and an engine polls the flag bound to the
+// goroutine that runs it — Engine.Run looks the binding up with the
+// goroutine id it learns anyway for the ownership check, so attaching
+// costs no extra stack walk. Engines are built and run deep inside the
+// cluster constructors and app drivers, so an ambient binding is the
+// only practical attachment point — the same reasoning as
 // SetDefaultObserver, but per-goroutine instead of process-global so
 // concurrent runs (e.g. mhpcd requests) cancel independently.
 //
@@ -126,15 +128,15 @@ func (f *AbortFlag) WatchContext(ctx context.Context) (stop func()) {
 }
 
 // bound is the goroutine-id-keyed registry of ambient abort flags.
-// Engines read it once at creation (NewEngine), never per event, so a
-// mutex-protected map is plenty.
+// Engines read it once per Run, never per event, so a mutex-protected
+// map is plenty.
 var bound struct {
 	mu sync.Mutex
 	m  map[int64]*AbortFlag
 }
 
-// BindAbort associates the calling goroutine with f: engines created
-// on this goroutine while the binding is in place poll f in their
+// BindAbort associates the calling goroutine with f: engines run on
+// this goroutine while the binding is in place poll f in their
 // dispatch loop, and the Monte-Carlo chunk loops poll it between
 // chunks. It returns an unbind function that must run on the same
 // goroutine when the task finishes; bindings do not nest — binding
@@ -156,10 +158,14 @@ func BindAbort(f *AbortFlag) (unbind func()) {
 
 // BoundAbort returns the flag bound to the calling goroutine, or nil.
 // The harness worker pool uses it to inherit the run's flag onto the
-// goroutines it spawns; NewEngine uses it to attach engines.
-func BoundAbort() *AbortFlag {
+// goroutines it spawns.
+func BoundAbort() *AbortFlag { return boundAbort(gid()) }
+
+// boundAbort returns the flag bound to goroutine id, or nil. Engine.Run
+// calls it with the id it has already parsed.
+func boundAbort(id int64) *AbortFlag {
 	bound.mu.Lock()
-	f := bound.m[gid()]
+	f := bound.m[id]
 	bound.mu.Unlock()
 	return f
 }

@@ -114,18 +114,42 @@ func TestAbortBeforeRun(t *testing.T) {
 	waitForGoroutines(t, base)
 }
 
-// Engines snapshot the goroutine-bound flag at creation.
-func TestBindAbortAttachesNewEngines(t *testing.T) {
-	flag := NewAbortFlag()
-	unbind := BindAbort(flag)
-	e := NewEngine()
-	unbind()
-	after := NewEngine()
-	if e.abort != flag {
-		t.Fatal("engine created under BindAbort is not attached to the flag")
+// An engine polls the flag bound to the goroutine that runs it,
+// looked up at Run: where the engine was built does not matter, and
+// SetAbortFlag — nil included — wins over any binding.
+func TestRunPollsBoundAbortFlag(t *testing.T) {
+	raised := NewAbortFlag()
+	raised.Abort(nil)
+	run := func(e *Engine) *AbortError {
+		e.After(1, func() {})
+		return recoverAbort(t, func() { e.RunAll() })
 	}
-	if after.abort != nil {
-		t.Fatal("engine created after unbind still attached")
+
+	before := NewEngine() // built before the binding, run under it
+	unbind := BindAbort(raised)
+	during := NewEngine() // built under the binding, run after unbind
+	if ab := run(before); ab == nil || !errors.Is(ab, ErrAborted) {
+		t.Fatalf("engine run under BindAbort of a raised flag: abort = %v", ab)
+	}
+	explicitNil := NewEngine()
+	explicitNil.SetAbortFlag(nil)
+	if ab := run(explicitNil); ab != nil {
+		t.Fatalf("SetAbortFlag(nil) engine aborted under a binding: %v", ab)
+	}
+	explicitDown := NewEngine()
+	explicitDown.SetAbortFlag(NewAbortFlag())
+	if ab := run(explicitDown); ab != nil {
+		t.Fatalf("engine with its own un-raised flag aborted under a binding: %v", ab)
+	}
+	unbind()
+
+	if ab := run(during); ab != nil {
+		t.Fatalf("engine run after unbind aborted: %v", ab)
+	}
+	explicitUp := NewEngine()
+	explicitUp.SetAbortFlag(raised)
+	if ab := run(explicitUp); ab == nil {
+		t.Fatal("SetAbortFlag of a raised flag did not abort without a binding")
 	}
 	if BoundAbort() != nil {
 		t.Fatal("binding survived unbind")

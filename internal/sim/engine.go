@@ -52,10 +52,13 @@
 // onto an engine from a second goroutine while Run is active panics
 // with a diagnostic rather than silently corrupting the event heap
 // (see checkOwner). All scheduling entry points — Schedule, At, After,
-// AtFunc — amortise the (expensive, runtime.Stack based) goroutine-id
-// verification over every ownerSampleWindow-th in-Run call, so
-// sustained misuse still panics within one sampling window while the
-// hot path pays two predictable branches per call.
+// AtFunc — amortise the goroutine-id verification (a runtime.Stack
+// parse: 4 µs at a shallow stack, 17–35 µs at 10–60 frames) over every
+// ownerSampleWindow-th in-Run call, so sustained misuse still panics
+// within one sampling window while the hot path pays two predictable
+// branches per call. Outside the sampled check the engine parses the
+// goroutine id once per Run and once per process, never per event and
+// never at construction.
 package sim
 
 import (
@@ -121,24 +124,30 @@ func less(a, b *Event) bool {
 	return a.time < b.time || (a.time == b.time && a.seq < b.seq)
 }
 
-// Observer receives engine activity callbacks for telemetry: one
-// call per event scheduled (with the queue depth just after the
-// push), dispatched, or cancelled-and-dropped. The hook is optional
-// and defaults to nil — a no-op that costs one nil check per event —
-// so simulation behaviour and determinism are never affected by
-// observation. Callbacks run on the engine's goroutine; an observer
-// shared across engines (the normal case, see SetDefaultObserver)
-// must therefore be safe for concurrent use.
+// Observer receives engine activity counts for telemetry. The engine
+// counts in plain fields and reports in batches: one EventsObserved
+// call per observeBatch dispatches, and one when Run returns (aborted
+// runs included), so the observer's totals are exact after every Run.
+// Activity outside Run — events scheduled before it starts — is
+// reported by the next Run's flush. The hook is optional and defaults
+// to nil — a no-op that costs one nil check per event — so simulation
+// behaviour and determinism are never affected by observation. Calls
+// run on the engine's goroutine; an observer shared across engines
+// (the normal case, see SetDefaultObserver) must therefore be safe for
+// concurrent use.
 type Observer interface {
-	// EventScheduled reports one scheduled event; depth is the event
-	// queue length immediately after the push.
-	EventScheduled(depth int)
-	// EventDispatched reports one fired event.
-	EventDispatched()
-	// EventCanceled reports one event dropped from the queue because
-	// it was cancelled before firing.
-	EventCanceled()
+	// EventsObserved reports the events scheduled, dispatched, and
+	// dropped from the queue because they were cancelled before firing
+	// since the previous call, and the largest event queue length seen
+	// immediately after a push in that interval.
+	EventsObserved(scheduled, dispatched, canceled int64, maxDepth int)
 }
+
+// observeBatch is the number of dispatches between observer flushes:
+// rare enough that the shared atomics behind an observer vanish from
+// the per-event cost, frequent enough that live telemetry advances
+// many times during any run long enough to watch.
+const observeBatch = 1024
 
 // defaultObserver is attached to every engine NewEngine creates (the
 // engines of the experiment harness are constructed deep inside the
@@ -170,8 +179,17 @@ type Engine struct {
 	procs      int     // live processes, for leak detection
 	live       []*Proc // the live processes themselves, for abort teardown
 	stopped    bool
-	obs        Observer   // nil = no telemetry (the default)
-	abort      *AbortFlag // nil = not cancellable (the default)
+	obs        Observer // nil = no telemetry (the default)
+	// Observer counts not yet reported (see flushObserved): events
+	// scheduled, dispatched and cancelled-and-dropped, and the largest
+	// queue length after a push. Maintained only while obs is set.
+	obsSched, obsDisp, obsCanc int64
+	obsDepth                   int
+	// abort is polled by the dispatch loop; nil = not cancellable.
+	// Unless abortSet (SetAbortFlag was called), Run replaces it with
+	// the flag bound to the goroutine that runs the engine.
+	abort    *AbortFlag
+	abortSet bool
 
 	// Misuse detection for the one-engine-per-goroutine invariant:
 	// while running is set, owner holds the goroutine id of the single
@@ -189,7 +207,9 @@ type Engine struct {
 }
 
 // gid returns the current goroutine's id, parsed from the header line
-// of its stack trace ("goroutine N [...]"). Costly (microseconds): the
+// of its stack trace ("goroutine N [...]"). Costly — runtime.Stack
+// takes 4 µs at a shallow stack and 17–35 µs at 10–60 frames, and
+// concurrent callers contend on the runtime's print lock — so the
 // engine calls it once per Run and once per spawned process, never per
 // event.
 func gid() int64 {
@@ -217,9 +237,9 @@ func (e *Engine) checkOwner() {
 }
 
 // ownerSampleWindow is the amortisation window of the sampled
-// ownership check: one full gid verification (a ~6 µs runtime.Stack
-// parse) per this many in-Run scheduling calls. At 4096 the check
-// costs under 2 ns amortised — invisible next to a ~60 ns dispatch —
+// ownership check: one full gid verification (a 4–35 µs runtime.Stack
+// parse, by stack depth) per this many in-Run scheduling calls. At
+// 4096 the check costs 1–9 ns amortised, small next to a dispatch,
 // while a rogue goroutine hammering any scheduling entry point still
 // panics within one window.
 const ownerSampleWindow = 4096
@@ -239,28 +259,41 @@ func (e *Engine) checkOwnerSampled() {
 }
 
 // NewEngine returns an engine with the clock at zero and an empty
-// queue, observed by the current default observer (normally nil) and
-// attached to the abort flag bound to the creating goroutine, if any
-// (see BindAbort — the harness binds its run flag onto every pool
-// worker, so engines built anywhere inside a task are cancellable).
+// queue, observed by the current default observer (normally nil). An
+// engine polls the abort flag bound to the goroutine that runs it, if
+// any (see BindAbort — the harness binds its run flag onto every pool
+// worker, so engines built and run anywhere inside a task are
+// cancellable).
 func NewEngine() *Engine {
 	e := &Engine{}
 	if box, ok := defaultObserver.Load().(observerBox); ok {
 		e.obs = box.o
 	}
-	e.abort = BoundAbort()
 	return e
 }
 
-// SetObserver attaches o to this engine (nil detaches). Engines pick
-// up the package default at creation; use this to instrument one
-// engine specifically.
-func (e *Engine) SetObserver(o Observer) { e.obs = o }
+// SetObserver attaches o to this engine (nil detaches), after
+// reporting any counts still pending to the previous observer.
+// Engines pick up the package default at creation; use this to
+// instrument one engine specifically.
+func (e *Engine) SetObserver(o Observer) {
+	e.flushObserved()
+	e.obs = o
+}
 
-// SetAbortFlag attaches f to this engine (nil detaches). Engines pick
-// up the goroutine-bound flag at creation (see BindAbort); use this to
-// make one specific engine cancellable.
-func (e *Engine) SetAbortFlag(f *AbortFlag) { e.abort = f }
+// SetAbortFlag attaches f to this engine (nil detaches) in place of
+// the goroutine-bound flag Run would otherwise look up (see
+// BindAbort); use this to make one specific engine cancellable, or,
+// with nil, to make it uncancellable.
+func (e *Engine) SetAbortFlag(f *AbortFlag) { e.abort, e.abortSet = f, true }
+
+// flushObserved reports the pending observer counts and resets them.
+func (e *Engine) flushObserved() {
+	if e.obs != nil && e.obsSched|e.obsDisp|e.obsCanc != 0 {
+		e.obs.EventsObserved(e.obsSched, e.obsDisp, e.obsCanc, e.obsDepth)
+	}
+	e.obsSched, e.obsDisp, e.obsCanc, e.obsDepth = 0, 0, 0, 0
+}
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -352,7 +385,10 @@ func (e *Engine) insert(ev *Event) {
 		e.heapPush(ev)
 	}
 	if e.obs != nil {
-		e.obs.EventScheduled(len(e.heap) + 1)
+		e.obsSched++
+		if d := len(e.heap) + 1; d > e.obsDepth {
+			e.obsDepth = d
+		}
 	}
 }
 
@@ -456,11 +492,11 @@ func (e *Engine) compact() {
 	e.tombstones = 0
 }
 
-// dropCanceled retires one cancelled event outside the dispatch loop's
-// own lazy-deletion path: observer callback, then recycle.
+// dropCanceled retires one cancelled event leaving the queue, by lazy
+// deletion in Run or by compaction: observer count, then recycle.
 func (e *Engine) dropCanceled(ev *Event) {
 	if e.obs != nil {
-		e.obs.EventCanceled()
+		e.obsCanc++
 	}
 	e.recycle(ev)
 }
@@ -483,12 +519,16 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Run dispatches events until the queue is empty, Stop is called, or the
 // clock would pass limit (use math.Inf(1) for no limit). It returns the
-// final virtual time.
+// final virtual time. Unless SetAbortFlag was called, the run polls
+// the abort flag bound to the calling goroutine (see BindAbort).
 func (e *Engine) Run(limit float64) float64 {
 	e.loopGid = gid()
+	if !e.abortSet {
+		e.abort = boundAbort(e.loopGid)
+	}
 	e.owner.Store(e.loopGid)
 	e.running.Store(true)
-	defer e.running.Store(false)
+	defer e.endRun()
 	e.stopped = false
 	for !e.stopped {
 		// Cancellation poll: one nil check per event when no flag is
@@ -514,10 +554,7 @@ func (e *Engine) Run(limit float64) float64 {
 			// Lazy deletion: drop the tombstone now that it surfaced.
 			e.dropMin(fromHeap)
 			e.tombstones--
-			if e.obs != nil {
-				e.obs.EventCanceled()
-			}
-			e.recycle(ev)
+			e.dropCanceled(ev)
 			continue
 		}
 		if ev.time > limit {
@@ -527,7 +564,10 @@ func (e *Engine) Run(limit float64) float64 {
 		e.dropMin(fromHeap)
 		e.now = ev.time
 		if e.obs != nil {
-			e.obs.EventDispatched()
+			e.obsDisp++
+			if e.obsDisp == observeBatch {
+				e.flushObserved()
+			}
 		}
 		fn := ev.fn
 		// Recycle before running fn so the callback's own After can
@@ -536,6 +576,14 @@ func (e *Engine) Run(limit float64) float64 {
 		fn()
 	}
 	return e.now
+}
+
+// endRun is Run's deferred exit, on every path out of the dispatch
+// loop (aborts and process panics included): it releases ownership
+// and reports the run's last observer counts.
+func (e *Engine) endRun() {
+	e.running.Store(false)
+	e.flushObserved()
 }
 
 // abortRun is the cancelled-run exit path, entered from the dispatch

@@ -2,20 +2,22 @@ package sim
 
 import "testing"
 
-// countObserver records engine callbacks for the tests.
+// countObserver totals the engine's batched reports for the tests.
 type countObserver struct {
 	scheduled, dispatched, canceled int
 	maxDepth                        int
+	flushes                         int
 }
 
-func (o *countObserver) EventScheduled(depth int) {
-	o.scheduled++
-	if depth > o.maxDepth {
-		o.maxDepth = depth
+func (o *countObserver) EventsObserved(scheduled, dispatched, canceled int64, maxDepth int) {
+	o.flushes++
+	o.scheduled += int(scheduled)
+	o.dispatched += int(dispatched)
+	o.canceled += int(canceled)
+	if maxDepth > o.maxDepth {
+		o.maxDepth = maxDepth
 	}
 }
-func (o *countObserver) EventDispatched() { o.dispatched++ }
-func (o *countObserver) EventCanceled()   { o.canceled++ }
 
 // The observer hook must see every scheduled, dispatched, and
 // cancelled-and-dropped event, and the queue-depth samples must cover
@@ -98,5 +100,91 @@ func TestDefaultObserver(t *testing.T) {
 	e2.RunAll()
 	if obs.scheduled != 1 {
 		t.Errorf("cleared default observer still attached: %+v", obs)
+	}
+}
+
+// Counts are reported in batches, and the batches add up exactly: a
+// run over three flush periods long, with cancels (some dropped by
+// compaction, some lazily), reports every scheduled, dispatched and
+// cancelled event and the exact queue-depth watermark; the observer
+// hears from the engine during the run, not only at its end.
+func TestObserverBatchedCountsExact(t *testing.T) {
+	e := NewEngine()
+	o := &countObserver{}
+	e.SetObserver(o)
+
+	var scheduled, dispatched, canceled, maxDepth, flushesInRun int
+	pushed := func() {
+		scheduled++
+		if p := e.Pending(); p > maxDepth {
+			maxDepth = p
+		}
+	}
+	const ticks = 3*observeBatch + 500
+	chain := 0
+	var tick func()
+	tick = func() {
+		dispatched++
+		chain++
+		flushesInRun = o.flushes
+		if chain%3 == 0 {
+			ev := e.Schedule(1e6, func() { t.Error("cancelled event fired") })
+			pushed()
+			ev.Cancel()
+			canceled++
+		}
+		if chain < ticks {
+			e.After(1, tick)
+			pushed()
+		}
+	}
+	// A burst of side events at the start sets the depth watermark.
+	for i := 0; i < 12; i++ {
+		e.Schedule(float64(i)/16, func() { dispatched++ })
+		pushed()
+	}
+	e.After(1, tick)
+	pushed()
+	e.RunAll()
+
+	if chain != ticks {
+		t.Fatalf("chain ran %d ticks, want %d", chain, ticks)
+	}
+	if o.scheduled != scheduled || o.dispatched != dispatched || o.canceled != canceled {
+		t.Errorf("observer saw scheduled/dispatched/canceled = %d/%d/%d, want %d/%d/%d",
+			o.scheduled, o.dispatched, o.canceled, scheduled, dispatched, canceled)
+	}
+	if o.maxDepth != maxDepth || maxDepth < 13 {
+		t.Errorf("depth watermark = %d, want %d (>= 13)", o.maxDepth, maxDepth)
+	}
+	if flushesInRun < 3 {
+		t.Errorf("observer heard %d flushes during a run of %d dispatches, want >= 3",
+			flushesInRun, dispatched)
+	}
+}
+
+// An aborted Run still reports what it did before the abort.
+func TestObserverFlushesOnAbort(t *testing.T) {
+	e := NewEngine()
+	o := &countObserver{}
+	e.SetObserver(o)
+	flag := NewAbortFlag()
+	e.SetAbortFlag(flag)
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		if n == 100 {
+			flag.Abort(nil)
+		}
+		e.After(1, tick)
+	}
+	e.After(1, tick)
+	if ab := recoverAbort(t, func() { e.RunAll() }); ab == nil {
+		t.Fatal("aborted Run returned normally")
+	}
+	if o.dispatched != 100 || o.scheduled != 101 || o.flushes != 1 {
+		t.Errorf("aborted run reported dispatched=%d scheduled=%d in %d flushes, want 100, 101, 1",
+			o.dispatched, o.scheduled, o.flushes)
 	}
 }

@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"sync"
+	"testing"
+
+	"mobilehpc/internal/obs"
+)
 
 // BenchmarkEngineThroughput measures raw event throughput through the
 // After fast path. Steady state must be allocation-free: the engine
@@ -68,5 +73,34 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		b.ResetTimer()
 		e.RunAll()
 		b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "events/s")
+	})
+	// observed: the step pattern on two engines, each on its own
+	// goroutine, both feeding one obs.SimObserver — the shape of
+	// concurrent mhpcd requests — so the telemetry hook's cost,
+	// contention on its shared counters included, shows against step.
+	b.Run("observed", func(b *testing.B) {
+		b.ReportAllocs()
+		o := obs.NewSimObserver(obs.New())
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e := NewEngine()
+				e.SetObserver(o)
+				n := 0
+				var tick func()
+				tick = func() {
+					n++
+					if n < b.N {
+						e.After(1, tick)
+					}
+				}
+				e.After(1, tick)
+				e.RunAll()
+			}()
+		}
+		wg.Wait()
+		b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "events/s")
 	})
 }
